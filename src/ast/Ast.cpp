@@ -55,24 +55,6 @@ NodeId Tree::lca(NodeId A, NodeId B) const {
   return A;
 }
 
-void Tree::remapSymbols(const std::vector<uint32_t> &Map,
-                        StringInterner &NewInterner) {
-  assert(!Map.empty() && Map[0] == 0 && "invalid symbol must map to itself");
-  auto Remap = [&](Symbol S) {
-    assert(S.index() < Map.size() && "symbol outside the remap table");
-    return Symbol::fromIndex(Map[S.index()]);
-  };
-  for (Node &N : Nodes) {
-    N.Kind = Remap(N.Kind);
-    N.Value = Remap(N.Value);
-  }
-  for (ElementInfo &E : Elements)
-    E.Name = Remap(E.Name);
-  for (auto &[Id, Type] : Types)
-    Type = Remap(Type);
-  Interner = &NewInterner;
-}
-
 void Tree::remapProvisional(const std::vector<uint32_t> &Map,
                             StringInterner &NewInterner) {
   constexpr uint32_t Bit = StringInterner::ProvisionalBit;

@@ -147,15 +147,6 @@ public:
   /// Lowest common ancestor of \p A and \p B.
   NodeId lca(NodeId A, NodeId B) const;
 
-  /// Rewrites every symbol of this tree (node kinds and values, element
-  /// names, type labels) through \p Map — old symbol index → new symbol
-  /// index — and repoints the tree at \p NewInterner. Map[0] must be 0
-  /// (the reserved invalid symbol). This is the merge step of the sharded
-  /// corpus parse: trees built against a shard-local interner are remapped
-  /// onto the merged corpus interner (see core::parseCorpus).
-  void remapSymbols(const std::vector<uint32_t> &Map,
-                    StringInterner &NewInterner);
-
   /// Rewrites only *provisional* symbols (StringInterner::ProvisionalBit
   /// set — produced by parsing against a delta overlay) through \p Map —
   /// overlay-local index → final index in \p NewInterner — and repoints

@@ -232,8 +232,9 @@ void crf::addTriFactors(CrfGraph &Graph, const Tree &Tree,
 //===----------------------------------------------------------------------===//
 
 void CrfModel::bump(uint64_t Key, double Delta) {
-  Weights[Key] += Delta;
-  Totals[Key] += static_cast<double>(Time) * Delta;
+  FeatureTable::Entry &E = Features.upsert(Key);
+  E.Weight += Delta;
+  E.Total += static_cast<double>(Time) * Delta;
 }
 
 double CrfModel::weight(uint64_t Key) const {
@@ -243,8 +244,8 @@ double CrfModel::weight(uint64_t Key) const {
     return (It != End && *It == Key) ? FC.WeightVals[It - FC.WeightKeys]
                                      : 0.0;
   }
-  auto It = Weights.find(Key);
-  return It == Weights.end() ? 0.0 : It->second;
+  const FeatureTable::Entry *E = Features.find(Key);
+  return E ? E->Weight : 0.0;
 }
 
 bool CrfModel::pathPruned(paths::PathId Path) const {
@@ -275,8 +276,7 @@ CrfModel::CandRef CrfModel::findCandidates(uint64_t Ctx) const {
 }
 
 void CrfModel::adoptFrozen(const FrozenCrf &View) {
-  Weights.clear();
-  Totals.clear();
+  Features.clear();
   Candidates.clear();
   PrunedPaths.clear();
   Time = 1;
@@ -303,13 +303,14 @@ FlatCrf CrfModel::flatten() const {
     F.GlobalTop.assign(FC.GlobalTop, FC.GlobalTop + FC.NumGlobal);
     return F;
   }
-  F.WeightKeys.reserve(Weights.size());
-  for (const auto &[Key, W] : Weights)
+  F.WeightKeys.reserve(Features.size());
+  Features.forEach([&F](uint64_t Key, const FeatureTable::Entry &) {
     F.WeightKeys.push_back(Key);
+  });
   std::sort(F.WeightKeys.begin(), F.WeightKeys.end());
-  F.WeightVals.reserve(Weights.size());
+  F.WeightVals.reserve(Features.size());
   for (uint64_t Key : F.WeightKeys)
-    F.WeightVals.push_back(Weights.at(Key));
+    F.WeightVals.push_back(Features.find(Key)->Weight);
 
   F.CandKeys.reserve(Candidates.size());
   for (const auto &[Ctx, Labels] : Candidates)
@@ -565,8 +566,7 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
   telemetry::Counter &UpdatesCounter = Reg.counter("crf.updates");
   telemetry::Histogram &EpochSeconds =
       Reg.histogram("crf.epoch.seconds", telemetry::timeBounds());
-  Weights.clear();
-  Totals.clear();
+  Features.clear();
   Time = 1;
   std::vector<std::vector<std::vector<uint32_t>>> Adjacencies;
   Adjacencies.reserve(Graphs.size());
@@ -628,21 +628,20 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
       // Multiplicative shrinkage keeps noisy high-degree features from
       // accumulating; consistently-pushed informative weights survive.
       double Keep = 1.0 - Config.L2Shrink;
-      for (auto &[Key, W] : Weights)
-        W *= Keep;
-      for (auto &[Key, U] : Totals)
-        U *= Keep;
+      Features.forEach([Keep](uint64_t, FeatureTable::Entry &E) {
+        E.Weight *= Keep;
+        E.Total *= Keep;
+      });
     }
     EpochSeconds.observe(EpochScope.seconds());
   }
   // Finalize averaging: w_avg = w - totals / T.
-  for (auto &[Key, W] : Weights) {
-    auto It = Totals.find(Key);
-    if (It != Totals.end())
-      W -= It->second / static_cast<double>(Time);
-  }
-  Totals.clear();
-  Reg.gauge("crf.features").set(static_cast<double>(Weights.size()));
+  double Steps = static_cast<double>(Time);
+  Features.forEach([Steps](uint64_t, FeatureTable::Entry &E) {
+    E.Weight -= E.Total / Steps;
+    E.Total = 0;
+  });
+  Reg.gauge("crf.features").set(static_cast<double>(Features.size()));
   Reg.gauge("crf.candidate_table")
       .set(static_cast<double>(Candidates.size()));
   Reg.gauge("crf.pruned_paths")
@@ -789,69 +788,63 @@ template <typename T> bool readPod(std::istream &IS, T &Value) {
   return static_cast<bool>(IS);
 }
 
+/// A read-only view of \p F's arrays.
+FrozenCrf viewOf(const FlatCrf &F) {
+  FrozenCrf V;
+  V.WeightKeys = F.WeightKeys.data();
+  V.WeightVals = F.WeightVals.data();
+  V.NumWeights = F.WeightKeys.size();
+  V.CandKeys = F.CandKeys.data();
+  V.CandOffsets = F.CandOffsets.data();
+  V.CandPairs = F.CandPairs.data();
+  V.NumCands = F.CandKeys.size();
+  V.PrunedKeys = F.PrunedKeys.data();
+  V.NumPruned = F.PrunedKeys.size();
+  V.GlobalTop = F.GlobalTop.data();
+  V.NumGlobal = static_cast<uint32_t>(F.GlobalTop.size());
+  return V;
+}
+
 } // namespace
 
 void CrfModel::save(std::ostream &OS) const {
+  // Trained and frozen models write the same sorted flat image, so the
+  // bytes never depend on a hash table's layout.
+  FlatCrf Flat;
+  FrozenCrf V = FC;
+  if (!IsFrozen) {
+    Flat = flatten();
+    V = viewOf(Flat);
+  }
   writePod(OS, CrfMagic);
   writePod(OS, CrfVersion);
-
-  if (IsFrozen) {
-    // A frozen model's state lives in the flat arrays; emit them in
-    // their (sorted/deterministic) stored order.
-    writePod(OS, FC.NumWeights);
-    for (uint64_t I = 0; I < FC.NumWeights; ++I) {
-      writePod(OS, FC.WeightKeys[I]);
-      writePod(OS, FC.WeightVals[I]);
-    }
-    writePod(OS, FC.NumCands);
-    for (uint64_t I = 0; I < FC.NumCands; ++I) {
-      writePod(OS, FC.CandKeys[I]);
-      uint32_t N =
-          static_cast<uint32_t>(FC.CandOffsets[I + 1] - FC.CandOffsets[I]);
-      writePod(OS, N);
-      const uint32_t *Pairs = FC.CandPairs + 2 * FC.CandOffsets[I];
-      for (uint32_t L = 0; L < N; ++L) {
-        writePod(OS, Pairs[2 * L]);
-        writePod(OS, Pairs[2 * L + 1]);
-      }
-    }
-    writePod(OS, FC.NumPruned);
-    for (uint64_t I = 0; I < FC.NumPruned; ++I)
-      writePod(OS, FC.PrunedKeys[I]);
-    writePod(OS, FC.NumGlobal);
-    for (uint32_t I = 0; I < FC.NumGlobal; ++I)
-      writePod(OS, FC.GlobalTop[I]);
-    return;
+  writePod(OS, V.NumWeights);
+  for (uint64_t I = 0; I < V.NumWeights; ++I) {
+    writePod(OS, V.WeightKeys[I]);
+    writePod(OS, V.WeightVals[I]);
   }
-
-  writePod(OS, static_cast<uint64_t>(Weights.size()));
-  for (const auto &[Key, W] : Weights) {
-    writePod(OS, Key);
-    writePod(OS, W);
-  }
-
-  writePod(OS, static_cast<uint64_t>(Candidates.size()));
-  for (const auto &[Ctx, Labels] : Candidates) {
-    writePod(OS, Ctx);
-    writePod(OS, static_cast<uint32_t>(Labels.size()));
-    for (const auto &[Label, Count] : Labels) {
-      writePod(OS, Label.index());
-      writePod(OS, Count);
+  writePod(OS, V.NumCands);
+  for (uint64_t I = 0; I < V.NumCands; ++I) {
+    writePod(OS, V.CandKeys[I]);
+    uint32_t N =
+        static_cast<uint32_t>(V.CandOffsets[I + 1] - V.CandOffsets[I]);
+    writePod(OS, N);
+    const uint32_t *Pairs = V.CandPairs + 2 * V.CandOffsets[I];
+    for (uint32_t L = 0; L < N; ++L) {
+      writePod(OS, Pairs[2 * L]);
+      writePod(OS, Pairs[2 * L + 1]);
     }
   }
-
-  writePod(OS, static_cast<uint64_t>(PrunedPaths.size()));
-  for (uint64_t Path : PrunedPaths)
-    writePod(OS, Path);
-
-  writePod(OS, static_cast<uint32_t>(GlobalTop.size()));
-  for (Symbol S : GlobalTop)
-    writePod(OS, S.index());
+  writePod(OS, V.NumPruned);
+  for (uint64_t I = 0; I < V.NumPruned; ++I)
+    writePod(OS, V.PrunedKeys[I]);
+  writePod(OS, V.NumGlobal);
+  for (uint32_t I = 0; I < V.NumGlobal; ++I)
+    writePod(OS, V.GlobalTop[I]);
 }
 
 bool CrfModel::load(std::istream &IS) {
-  Weights.clear();
-  Totals.clear();
+  Features.clear();
   Candidates.clear();
   PrunedPaths.clear();
   GlobalTop.clear();
@@ -873,7 +866,11 @@ bool CrfModel::load(std::istream &IS) {
     double W;
     if (!readPod(IS, Key) || !readPod(IS, W))
       return false;
-    Weights.emplace(Key, W);
+    // The first of duplicate keys wins.
+    size_t Before = Features.size();
+    FeatureTable::Entry &E = Features.upsert(Key);
+    if (Features.size() > Before)
+      E.Weight = W;
   }
 
   uint64_t NumContexts = 0;

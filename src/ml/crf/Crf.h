@@ -28,6 +28,7 @@
 #define PIGEON_ML_CRF_CRF_H
 
 #include "ast/Ast.h"
+#include "ml/crf/FeatureTable.h"
 #include "paths/Paths.h"
 #include "support/StringInterner.h"
 
@@ -250,11 +251,12 @@ public:
   bool load(std::istream &IS);
 
   /// Serves the model in place from \p View (typically sections of an
-  /// mmap'ed v3 bundle): drops the mutable maps and routes weight,
-  /// candidate and pruning lookups through binary search over the flat
-  /// arrays. Only the (tiny) global-candidate list is copied. Read APIs
-  /// produce bit-identical results to the map-backed model the image was
-  /// flattened from; train() or load() thaw the model back to maps.
+  /// mmap'ed v3 bundle): drops the mutable feature table and candidate
+  /// map and routes weight, candidate and pruning lookups through binary
+  /// search over the flat arrays. Only the (tiny) global-candidate list
+  /// is copied. Read APIs produce bit-identical results to the mutable
+  /// model the image was flattened from; train() or load() thaw the
+  /// model back to the mutable containers.
   void adoptFrozen(const FrozenCrf &View);
 
   /// \returns the learned state as an owned flat image — sorted keys,
@@ -267,7 +269,7 @@ public:
 
   /// Number of nonzero feature weights (model size).
   size_t numFeatures() const {
-    return IsFrozen ? FC.NumWeights : Weights.size();
+    return IsFrozen ? FC.NumWeights : Features.size();
   }
 
   /// Sum of training-time candidate-table entries (diagnostics).
@@ -277,16 +279,17 @@ public:
 
 private:
   CrfConfig Config;
-  std::unordered_map<uint64_t, double> Weights;
-  std::unordered_map<uint64_t, double> Totals; // For averaging.
+  /// Feature weights with their averaging totals; Total is only
+  /// meaningful during train() and is zero afterwards.
+  FeatureTable Features;
   uint64_t Time = 1;
   std::unordered_map<uint64_t, std::vector<std::pair<Symbol, uint32_t>>>
       Candidates;
   std::vector<Symbol> GlobalTop;
   /// Paths whose training contexts were too impure to be informative.
   std::unordered_set<uint64_t> PrunedPaths;
-  /// Flat read-only state of a frozen model (adoptFrozen); the maps
-  /// above stay empty while IsFrozen is set.
+  /// Flat read-only state of a frozen model (adoptFrozen); the table and
+  /// maps above stay empty while IsFrozen is set.
   FrozenCrf FC;
   bool IsFrozen = false;
 

@@ -7,8 +7,11 @@
 #include "ml/crf/Crf.h"
 
 #include "lang/js/JsParser.h"
+#include "support/Hashing.h"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 using namespace pigeon;
 using namespace pigeon::ast;
@@ -333,6 +336,204 @@ TEST(CrfLearning, DeterministicAcrossRuns) {
   Run(A);
   Run(B);
   EXPECT_EQ(A, B);
+}
+
+//===----------------------------------------------------------------------===//
+// Golden digests: training is pinned bit for bit
+//===----------------------------------------------------------------------===//
+
+/// A fixed corpus drawn by a seeded linear congruential generator:
+/// role-conditioned names over four program shapes, one of them with
+/// several interacting unknowns, so training sees over a thousand
+/// features.
+std::vector<std::string> goldenCorpus() {
+  const char *Flags[] = {"done", "finished", "stop", "found"};
+  const char *Counters[] = {"count", "total", "sum", "n"};
+  const char *Arrays[] = {"items", "list", "values"};
+  const char *Indexes[] = {"i", "j", "k"};
+  uint64_t State = 20180618;
+  auto Next = [&State](size_t N) {
+    State = State * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<size_t>((State >> 33) % N);
+  };
+  std::vector<std::string> Sources;
+  for (int I = 0; I < 64; ++I) {
+    switch (Next(4)) {
+    case 0:
+      Sources.push_back(flagProgram(Flags[Next(4)]));
+      break;
+    case 1:
+      Sources.push_back(counterProgram(Counters[Next(4)]));
+      break;
+    case 2: {
+      std::string A = Arrays[Next(3)], X = Indexes[Next(3)];
+      Sources.push_back("function f(" + A + ") { for (var " + X + " = 0; " +
+                        X + " < " + A + ".length; " + X + "++) { use(" + A +
+                        "[" + X + "]); } }");
+      break;
+    }
+    default: {
+      std::string A = Arrays[Next(3)], X = Indexes[Next(3)];
+      std::string F = Flags[Next(4)], C = Counters[Next(4)];
+      Sources.push_back("function scan(" + A + ") { var " + F +
+                        " = false; var " + C + " = 0; for (var " + X +
+                        " = 0; " + X + " < " + A + ".length; " + X +
+                        "++) { if (" + A + "[" + X + "] > 0) { " + C +
+                        " += 1; } else { " + F + " = true; } } return " + C +
+                        "; }");
+      break;
+    }
+    }
+  }
+  return Sources;
+}
+
+/// Trains \p Model on goldenCorpus().
+void trainGolden(CrfModel &Model) {
+  StringInterner SI;
+  PathTable Table;
+  ExtractionConfig Config;
+  std::vector<CrfGraph> Graphs;
+  std::vector<std::optional<Tree>> Keep;
+  for (const std::string &Src : goldenCorpus()) {
+    lang::ParseResult R = js::parse(Src, SI);
+    ASSERT_TRUE(R.ok()) << Src;
+    Keep.push_back(std::move(R.Tree));
+    auto Contexts = extractPathContexts(*Keep.back(), Config, Table);
+    Graphs.push_back(buildGraph(*Keep.back(), Contexts, varSelector()));
+  }
+  Model.train(Graphs);
+}
+
+/// Stable digest of every array of a flat image. The pinned digests below
+/// were recorded when the learner still kept weights and totals in
+/// std::unordered_map: they hold only while every feature sees the same
+/// floating-point operations in the same order.
+uint64_t digestOf(const FlatCrf &F) {
+  uint64_t H = 0;
+  auto Mix = [&H](const auto &V) {
+    H = hashCombine(H, V.size());
+    H = hashCombine(H, stableHashBytes(V.data(), V.size() * sizeof(V[0])));
+  };
+  Mix(F.WeightKeys);
+  Mix(F.WeightVals);
+  Mix(F.CandKeys);
+  Mix(F.CandOffsets);
+  Mix(F.CandPairs);
+  Mix(F.PrunedKeys);
+  Mix(F.GlobalTop);
+  return H;
+}
+
+TEST(CrfGolden, DefaultConfigDigestIsPinned) {
+  CrfModel Model;
+  trainGolden(Model);
+  FlatCrf F = Model.flatten();
+  EXPECT_GT(F.WeightKeys.size(), 1000u);
+  EXPECT_TRUE(F.PrunedKeys.empty());
+  EXPECT_EQ(digestOf(F), 0x026c941a598b6d66ULL);
+}
+
+TEST(CrfGolden, ShrinkAndPruneDigestIsPinned) {
+  CrfConfig Config;
+  Config.L2Shrink = 0.05;
+  Config.MinPathLift = 2.0;
+  CrfModel Model(Config);
+  trainGolden(Model);
+  FlatCrf F = Model.flatten();
+  EXPECT_GT(F.WeightKeys.size(), 500u);
+  EXPECT_FALSE(F.PrunedKeys.empty());
+  EXPECT_EQ(digestOf(F), 0x21f66d672e655f38ULL);
+}
+
+TEST(CrfSerialization, SaveLoadSaveIsByteIdentical) {
+  // The legacy stream writes weights in key order, so a reloaded model
+  // (whose table grew in a different insertion order) saves the same bytes.
+  CrfModel Model;
+  trainGolden(Model);
+  std::stringstream First;
+  Model.save(First);
+  CrfModel Restored;
+  ASSERT_TRUE(Restored.load(First));
+  EXPECT_EQ(Restored.numFeatures(), Model.numFeatures());
+  std::stringstream Second;
+  Restored.save(Second);
+  EXPECT_EQ(First.str(), Second.str());
+}
+
+//===----------------------------------------------------------------------===//
+// Feature table
+//===----------------------------------------------------------------------===//
+
+TEST(CrfFeatureTable, FindOnEmptyTable) {
+  FeatureTable T;
+  EXPECT_EQ(T.size(), 0u);
+  EXPECT_EQ(T.find(0), nullptr);
+  EXPECT_EQ(T.find(42), nullptr);
+  size_t Visited = 0;
+  T.forEach([&](uint64_t, const FeatureTable::Entry &) { ++Visited; });
+  EXPECT_EQ(Visited, 0u);
+}
+
+TEST(CrfFeatureTable, KeyZeroIsARealKey) {
+  FeatureTable T;
+  T.upsert(0).Weight = 1.5;
+  ASSERT_NE(T.find(0), nullptr);
+  EXPECT_EQ(T.find(0)->Weight, 1.5);
+  EXPECT_EQ(T.size(), 1u);
+  // Nonzero keys whose low bits are all zero share key 0's home slot.
+  T.upsert(uint64_t(1) << 40).Weight = 2.5;
+  EXPECT_EQ(T.size(), 2u);
+  EXPECT_EQ(T.find(0)->Weight, 1.5);
+  EXPECT_EQ(T.find(uint64_t(1) << 40)->Weight, 2.5);
+  size_t Visited = 0;
+  T.forEach([&](uint64_t Key, const FeatureTable::Entry &E) {
+    ++Visited;
+    EXPECT_EQ(E.Weight, Key == 0 ? 1.5 : 2.5);
+  });
+  EXPECT_EQ(Visited, 2u);
+  T.clear();
+  EXPECT_EQ(T.find(0), nullptr);
+  EXPECT_EQ(T.size(), 0u);
+}
+
+TEST(CrfFeatureTable, ReUpsertKeepsTheEntry) {
+  FeatureTable T;
+  FeatureTable::Entry &E = T.upsert(7);
+  EXPECT_EQ(E.Weight, 0.0);
+  EXPECT_EQ(E.Total, 0.0);
+  E.Weight += 1;
+  E.Total += 3;
+  T.upsert(7).Weight += 1;
+  EXPECT_EQ(T.size(), 1u);
+  EXPECT_EQ(T.find(7)->Weight, 2.0);
+  EXPECT_EQ(T.find(7)->Total, 3.0);
+}
+
+TEST(CrfFeatureTable, SurvivesManyGrowthSteps) {
+  // Keys sharing their low bits collide into one probe run; hashed keys
+  // spread. Both must survive every doubling from 16 to 8192 slots.
+  FeatureTable T;
+  std::vector<uint64_t> Keys;
+  for (uint64_t I = 1; I <= 2000; ++I)
+    Keys.push_back(I % 2 ? I << 32 : hashFinalize(I));
+  for (size_t I = 0; I < Keys.size(); ++I) {
+    FeatureTable::Entry &E = T.upsert(Keys[I]);
+    E.Weight += static_cast<double>(I);
+    E.Total -= static_cast<double>(I);
+    ASSERT_EQ(T.size(), I + 1);
+  }
+  for (size_t I = 0; I < Keys.size(); ++I) {
+    const FeatureTable::Entry *E = T.find(Keys[I]);
+    ASSERT_NE(E, nullptr) << I;
+    EXPECT_EQ(E->Weight, static_cast<double>(I));
+    EXPECT_EQ(E->Total, -static_cast<double>(I));
+  }
+  EXPECT_EQ(T.find(hashFinalize(4001)), nullptr);
+  EXPECT_EQ(T.find(uint64_t(4001) << 32), nullptr);
+  size_t Visited = 0;
+  T.forEach([&](uint64_t, const FeatureTable::Entry &) { ++Visited; });
+  EXPECT_EQ(Visited, Keys.size());
 }
 
 //===----------------------------------------------------------------------===//
