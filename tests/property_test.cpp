@@ -18,6 +18,7 @@
 
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 using namespace pigeon;
 using namespace pigeon::ast;
@@ -27,10 +28,19 @@ using pigeon::lang::Language;
 
 namespace {
 
+/// gtest prints a parameter without operator<< as its raw bytes, and that
+/// dump becomes part of each discovered ctest name. The padding after
+/// Lang is spelled out and zeroed so no byte of the name is left
+/// uninitialised and the names are the same on every build.
 struct CorpusParam {
+  CorpusParam(Language Lang, uint64_t Seed) : Lang(Lang), Seed(Seed) {}
+
   Language Lang;
+  uint8_t Pad[7] = {};
   uint64_t Seed;
 };
+static_assert(std::has_unique_object_representations_v<CorpusParam>,
+              "CorpusParam must have no implicit padding");
 
 std::string paramName(const testing::TestParamInfo<CorpusParam> &Info) {
   std::string Name = lang::languageName(Info.param.Lang);
