@@ -13,6 +13,7 @@
 #include "core/ModelIO.h"
 
 #include "datagen/Sketch.h"
+#include "support/Hashing.h"
 
 #include <gtest/gtest.h>
 
@@ -196,6 +197,19 @@ TEST(ContextsArtifact, SerializationIsThreadCountInvariant) {
   }
   EXPECT_EQ(Streams[0], Streams[1]);
   EXPECT_EQ(Streams[0], Streams[2]);
+}
+
+TEST(ContextsArtifact, SavedBytesArePinned) {
+  // The byte layout of pigeon.contexts.v1, pinned whole: a writer change
+  // that moves any byte shows here before it reaches a file on disk.
+  Corpus C = makeCorpus();
+  ContextsArtifact Art =
+      buildContextsArtifact(C, Task::VariableNames, varsOptions(/*Tri=*/true));
+  std::stringstream Buffer;
+  saveContexts(Buffer, Art);
+  std::string Bytes = Buffer.str();
+  EXPECT_EQ(Bytes.size(), 41934u);
+  EXPECT_EQ(stableHashBytes(Bytes.data(), Bytes.size()), 0x6d1af974316b910dULL);
 }
 
 TEST(ContextsArtifact, RebaseIntoEmptySpaceIsFaithful) {

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <sstream>
 
 using namespace pigeon;
@@ -346,18 +348,21 @@ TEST(CrfLearning, DeterministicAcrossRuns) {
 /// role-conditioned names over four program shapes, one of them with
 /// several interacting unknowns, so training sees over a thousand
 /// features.
-std::vector<std::string> goldenCorpus() {
+/// \p Seed and \p Count default to the training corpus; another seed
+/// draws held-out programs of the same shapes.
+std::vector<std::string> goldenCorpus(uint64_t Seed = 20180618,
+                                      int Count = 64) {
   const char *Flags[] = {"done", "finished", "stop", "found"};
   const char *Counters[] = {"count", "total", "sum", "n"};
   const char *Arrays[] = {"items", "list", "values"};
   const char *Indexes[] = {"i", "j", "k"};
-  uint64_t State = 20180618;
+  uint64_t State = Seed;
   auto Next = [&State](size_t N) {
     State = State * 6364136223846793005ULL + 1442695040888963407ULL;
     return static_cast<size_t>((State >> 33) % N);
   };
   std::vector<std::string> Sources;
-  for (int I = 0; I < 64; ++I) {
+  for (int I = 0; I < Count; ++I) {
     switch (Next(4)) {
     case 0:
       Sources.push_back(flagProgram(Flags[Next(4)]));
@@ -388,21 +393,31 @@ std::vector<std::string> goldenCorpus() {
   return Sources;
 }
 
-/// Trains \p Model on goldenCorpus().
-void trainGolden(CrfModel &Model) {
+/// Graphs of parsed programs, with the symbol and path spaces (and trees)
+/// they refer to.
+struct GoldenSpace {
   StringInterner SI;
   PathTable Table;
-  ExtractionConfig Config;
-  std::vector<CrfGraph> Graphs;
   std::vector<std::optional<Tree>> Keep;
-  for (const std::string &Src : goldenCorpus()) {
-    lang::ParseResult R = js::parse(Src, SI);
-    ASSERT_TRUE(R.ok()) << Src;
-    Keep.push_back(std::move(R.Tree));
-    auto Contexts = extractPathContexts(*Keep.back(), Config, Table);
-    Graphs.push_back(buildGraph(*Keep.back(), Contexts, varSelector()));
+
+  std::vector<CrfGraph> graphs(const std::vector<std::string> &Sources) {
+    std::vector<CrfGraph> Graphs;
+    for (const std::string &Src : Sources) {
+      lang::ParseResult R = js::parse(Src, SI);
+      EXPECT_TRUE(R.ok()) << Src;
+      Keep.push_back(std::move(R.Tree));
+      auto Contexts =
+          extractPathContexts(*Keep.back(), ExtractionConfig(), Table);
+      Graphs.push_back(buildGraph(*Keep.back(), Contexts, varSelector()));
+    }
+    return Graphs;
   }
-  Model.train(Graphs);
+};
+
+/// Trains \p Model on goldenCorpus().
+void trainGolden(CrfModel &Model) {
+  GoldenSpace Space;
+  Model.train(Space.graphs(goldenCorpus()));
 }
 
 /// Stable digest of every array of a flat image. The pinned digests below
@@ -444,6 +459,212 @@ TEST(CrfGolden, ShrinkAndPruneDigestIsPinned) {
   EXPECT_GT(F.WeightKeys.size(), 500u);
   EXPECT_FALSE(F.PrunedKeys.empty());
   EXPECT_EQ(digestOf(F), 0x21f66d672e655f38ULL);
+}
+
+TEST(CrfGolden, NoUnknownUnknownFactorsDigestIsPinned) {
+  CrfConfig Config;
+  Config.UnknownUnknownFactors = false;
+  CrfModel Model(Config);
+  trainGolden(Model);
+  FlatCrf F = Model.flatten();
+  EXPECT_GT(F.WeightKeys.size(), 500u);
+  EXPECT_EQ(digestOf(F), 0x244332ae42f9ba80ULL);
+}
+
+TEST(CrfGolden, NoUnaryFactorsDigestIsPinned) {
+  CrfConfig Config;
+  Config.UnaryFactors = false;
+  CrfModel Model(Config);
+  trainGolden(Model);
+  FlatCrf F = Model.flatten();
+  EXPECT_GT(F.WeightKeys.size(), 500u);
+  EXPECT_EQ(digestOf(F), 0xca04486fc61ba2b3ULL);
+}
+
+TEST(CrfGolden, OneInferencePassDigestIsPinned) {
+  CrfConfig Config;
+  Config.InferencePasses = 1;
+  CrfModel Model(Config);
+  trainGolden(Model);
+  FlatCrf F = Model.flatten();
+  EXPECT_GT(F.WeightKeys.size(), 500u);
+  EXPECT_EQ(digestOf(F), 0xa2f0fa49c693170dULL);
+}
+
+/// Digest of predict() labels and topK(K=5) labels and score bit patterns
+/// for every unknown of \p Graphs.
+uint64_t predictionDigest(const CrfModel &Model,
+                          const std::vector<CrfGraph> &Graphs) {
+  uint64_t H = 0;
+  for (const CrfGraph &G : Graphs) {
+    std::vector<Symbol> Pred = Model.predict(G);
+    for (uint32_t N : G.Unknowns) {
+      H = hashCombine(H, Pred[N].index());
+      auto Top = Model.topK(G, N, Pred, 5);
+      H = hashCombine(H, Top.size());
+      for (const auto &[Label, Score] : Top) {
+        uint64_t Bits;
+        std::memcpy(&Bits, &Score, sizeof(Bits));
+        H = hashCombine(hashCombine(H, Label.index()), Bits);
+      }
+    }
+  }
+  return H;
+}
+
+TEST(CrfGolden, PredictAndTopKDigestIsPinned) {
+  GoldenSpace Space;
+  CrfModel Model;
+  Model.train(Space.graphs(goldenCorpus()));
+  std::vector<CrfGraph> HeldOut =
+      Space.graphs(goldenCorpus(/*Seed=*/20180619, /*Count=*/24));
+  size_t Unknowns = 0;
+  for (const CrfGraph &G : HeldOut)
+    Unknowns += G.Unknowns.size();
+  EXPECT_GT(Unknowns, 40u);
+
+  uint64_t Trained = predictionDigest(Model, HeldOut);
+  EXPECT_EQ(Trained, 0xb4e1eecc5e6f9096ULL);
+
+  FlatCrf Flat = Model.flatten();
+  FrozenCrf View;
+  View.WeightKeys = Flat.WeightKeys.data();
+  View.WeightVals = Flat.WeightVals.data();
+  View.NumWeights = Flat.WeightKeys.size();
+  View.CandKeys = Flat.CandKeys.data();
+  View.CandOffsets = Flat.CandOffsets.data();
+  View.CandPairs = Flat.CandPairs.data();
+  View.NumCands = Flat.CandKeys.size();
+  View.PrunedKeys = Flat.PrunedKeys.data();
+  View.NumPruned = Flat.PrunedKeys.size();
+  View.GlobalTop = Flat.GlobalTop.data();
+  View.NumGlobal = static_cast<uint32_t>(Flat.GlobalTop.size());
+  CrfModel Frozen;
+  Frozen.adoptFrozen(View);
+  EXPECT_EQ(predictionDigest(Frozen, HeldOut), Trained);
+
+  std::vector<std::vector<Symbol>> Batch = Model.predictBatch(HeldOut, 2);
+  for (size_t I = 0; I < HeldOut.size(); ++I)
+    EXPECT_EQ(Batch[I], Model.predict(HeldOut[I])) << I;
+}
+
+//===----------------------------------------------------------------------===//
+// Inference on hand-built graphs
+//===----------------------------------------------------------------------===//
+
+/// A model whose weights and candidate lists are set by hand, served
+/// frozen from \p Flat and, through save() and load(), from the mutable
+/// tables training fills.
+struct HandModel {
+  FlatCrf Flat;
+  CrfModel Frozen;
+  CrfModel Thawed;
+
+  HandModel(const CrfConfig &Config,
+            std::map<uint64_t, double> Weights,
+            std::map<uint64_t, std::vector<std::pair<Symbol, uint32_t>>>
+                Cands)
+      : Frozen(Config), Thawed(Config) {
+    for (const auto &[Key, W] : Weights) {
+      Flat.WeightKeys.push_back(Key);
+      Flat.WeightVals.push_back(W);
+    }
+    Flat.CandOffsets.push_back(0);
+    for (const auto &[Ctx, Labels] : Cands) {
+      Flat.CandKeys.push_back(Ctx);
+      for (const auto &[Label, Count] : Labels) {
+        Flat.CandPairs.push_back(Label.index());
+        Flat.CandPairs.push_back(Count);
+      }
+      Flat.CandOffsets.push_back(Flat.CandOffsets.back() + Labels.size());
+    }
+    FrozenCrf View;
+    View.WeightKeys = Flat.WeightKeys.data();
+    View.WeightVals = Flat.WeightVals.data();
+    View.NumWeights = Flat.WeightKeys.size();
+    View.CandKeys = Flat.CandKeys.data();
+    View.CandOffsets = Flat.CandOffsets.data();
+    View.CandPairs = Flat.CandPairs.data();
+    View.NumCands = Flat.CandKeys.size();
+    Frozen.adoptFrozen(View);
+    std::stringstream Stream;
+    Frozen.save(Stream);
+    EXPECT_TRUE(Thawed.load(Stream));
+  }
+
+  /// predict() of \p G, asserting both model forms agree.
+  std::vector<Symbol> predict(const CrfGraph &G) const {
+    std::vector<Symbol> Pred = Frozen.predict(G);
+    EXPECT_EQ(Thawed.predict(G), Pred);
+    return Pred;
+  }
+};
+
+Symbol sym(uint32_t Index) { return Symbol::fromIndex(Index); }
+
+TEST(CrfInference, NonUnarySelfLoopReScoresItsOwnNode) {
+  // Node 0 is unknown with a pairwise factor to itself: its score reads
+  // its own current label, so changing it dirties the node itself. The
+  // weights make it alternate x -> y -> x over two passes.
+  const Symbol K = sym(1), X = sym(10), Y = sym(11);
+  const PathId Vote = 5, Loop = 6;
+  CrfGraph G;
+  G.Nodes = {{X, /*Known=*/false}, {K, /*Known=*/true}};
+  G.Unknowns = {0};
+  G.Factors = {{0, 1, Vote, false}, {0, 0, Loop, false}};
+  CrfConfig Config;
+  Config.InferencePasses = 2;
+  HandModel M(Config,
+              {{pairKey(Loop, Y, X), 1.0}, {pairKey(Loop, X, Y), 1.0}},
+              {{contextKey(Vote, true, K), {{X, 10}, {Y, 5}}}});
+  EXPECT_EQ(M.predict(G), (std::vector<Symbol>{X, K}));
+  Config.InferencePasses = 1;
+  HandModel One(Config,
+                {{pairKey(Loop, Y, X), 1.0}, {pairKey(Loop, X, Y), 1.0}},
+                {{contextKey(Vote, true, K), {{X, 10}, {Y, 5}}}});
+  EXPECT_EQ(One.predict(G), (std::vector<Symbol>{Y, K}));
+}
+
+TEST(CrfInference, EmptyCandidateListNextToAScoredNode) {
+  // Node 1 has no known neighbour and there is no global fallback, so it
+  // has no candidates and keeps the invalid label; node 0 scores against
+  // that invalid label.
+  const Symbol K = sym(1), X = sym(10), Y = sym(11);
+  const PathId Vote = 5, Link = 7;
+  CrfGraph G;
+  G.Nodes = {{X, false}, {Y, false}, {K, true}};
+  G.Unknowns = {0, 1};
+  G.Factors = {{0, 2, Vote, false}, {0, 1, Link, false}};
+  HandModel M(CrfConfig(), {{pairKey(Link, Y, Symbol()), 1.0}},
+              {{contextKey(Vote, true, K), {{X, 10}, {Y, 5}}}});
+  EXPECT_EQ(M.predict(G), (std::vector<Symbol>{Y, Symbol(), K}));
+}
+
+TEST(CrfInference, LaterNodeChangeReScoresEarlierNode) {
+  // Chain U0 - U1 of unknowns. In the first pass U0 is scored against
+  // U1's initial label c and keeps a; then U1 flips to d. Only a second
+  // look at U0, made because its neighbour changed after it was scored,
+  // flips U0 to b.
+  const Symbol K0 = sym(1), K1 = sym(2);
+  const Symbol A = sym(10), B = sym(11), C = sym(12), D = sym(13);
+  const PathId Vote0 = 5, Vote1 = 6, Link = 7;
+  CrfGraph G;
+  G.Nodes = {{A, false}, {C, false}, {K0, true}, {K1, true}};
+  G.Unknowns = {0, 1};
+  G.Factors = {{0, 2, Vote0, false}, {1, 3, Vote1, false},
+               {0, 1, Link, false}};
+  auto Weights = std::map<uint64_t, double>{{pairKey(Link, A, D), 1.0},
+                                            {pairKey(Link, B, D), 2.0}};
+  auto Cands =
+      std::map<uint64_t, std::vector<std::pair<Symbol, uint32_t>>>{
+          {contextKey(Vote0, true, K0), {{A, 10}, {B, 5}}},
+          {contextKey(Vote1, true, K1), {{C, 10}, {D, 5}}}};
+  HandModel M(CrfConfig(), Weights, Cands);
+  EXPECT_EQ(M.predict(G), (std::vector<Symbol>{B, D, K0, K1}));
+  CrfConfig One;
+  One.InferencePasses = 1;
+  HandModel OnePass(One, Weights, Cands);
+  EXPECT_EQ(OnePass.predict(G), (std::vector<Symbol>{A, D, K0, K1}));
 }
 
 TEST(CrfSerialization, SaveLoadSaveIsByteIdentical) {
