@@ -14,7 +14,10 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <span>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 using namespace pigeon;
 using namespace pigeon::ast;
@@ -31,19 +34,36 @@ constexpr uint32_t ContextsVersion = 1;
 /// corrupted counts fail fast instead of allocating terabytes.
 constexpr uint64_t MaxCount = 1u << 30;
 
-template <typename T> void writePod(std::ostream &OS, const T &Value) {
-  OS.write(reinterpret_cast<const char *>(&Value), sizeof(Value));
-}
-
 template <typename T> bool readPod(std::istream &IS, T &Value) {
   IS.read(reinterpret_cast<char *>(&Value), sizeof(Value));
   return static_cast<bool>(IS);
 }
 
+/// saveContexts writes its buffer out once it holds this many bytes.
+constexpr size_t FlushBytes = 64u << 10;
+
+/// Appends \p Value's bytes in memory order, as readPod reads them.
+template <typename T> void appendPod(std::vector<uint8_t> &Out, T Value) {
+  const uint8_t *Bytes = reinterpret_cast<const uint8_t *>(&Value);
+  Out.insert(Out.end(), Bytes, Bytes + sizeof(Value));
+}
+
+/// Appends a length-prefixed byte string, as io::writeBytes writes it.
+void appendBytes(std::vector<uint8_t> &Out, std::span<const uint8_t> Bytes) {
+  io::appendVarint(Out, Bytes.size());
+  Out.insert(Out.end(), Bytes.begin(), Bytes.end());
+}
+
+void appendString(std::vector<uint8_t> &Out, std::string_view Str) {
+  appendBytes(Out, std::span<const uint8_t>(
+                       reinterpret_cast<const uint8_t *>(Str.data()),
+                       Str.size()));
+}
+
 /// ElementIds are encoded off-by-one so the InvalidElement sentinel
 /// becomes the single-byte varint 0.
-void writeElemId(std::ostream &OS, ElementId Id) {
-  io::writeVarint(OS, static_cast<uint32_t>(Id + 1));
+void appendElemId(std::vector<uint8_t> &Out, ElementId Id) {
+  io::appendVarint(Out, static_cast<uint32_t>(Id + 1));
 }
 
 bool readElemId(std::istream &IS, ElementId &Id, size_t NumElements) {
@@ -138,53 +158,72 @@ core::buildContextsArtifact(Corpus &Corpus, Task TaskKind,
 }
 
 void core::saveContexts(std::ostream &OS, const ContextsArtifact &Art) {
-  writePod(OS, ContextsMagic);
-  writePod(OS, ContextsVersion);
-  writePod(OS, static_cast<uint8_t>(Art.Lang));
-  writePod(OS, static_cast<uint8_t>(Art.TaskKind));
-  writePod(OS, static_cast<uint8_t>(Art.Repr));
-  writePod(OS, static_cast<uint8_t>(Art.TriContexts));
-  writePod(OS, static_cast<int32_t>(Art.Extraction.MaxLength));
-  writePod(OS, static_cast<int32_t>(Art.Extraction.MaxWidth));
-  writePod(OS, static_cast<uint8_t>(Art.Extraction.Abst));
-  writePod(OS, static_cast<uint8_t>(Art.Extraction.IncludeSemiPaths));
+  // Everything is encoded into one reusable buffer that is written out
+  // whenever it passes FlushBytes: a few large stream writes instead of
+  // one call per byte, without holding the whole artifact in memory.
+  std::vector<uint8_t> Buf;
+  Buf.reserve(2 * FlushBytes);
+  auto Flush = [&OS, &Buf](size_t AtLeast) {
+    if (Buf.size() < AtLeast)
+      return;
+    OS.write(reinterpret_cast<const char *>(Buf.data()),
+             static_cast<std::streamsize>(Buf.size()));
+    Buf.clear();
+  };
 
-  io::writeVarint(OS, Art.Interner->size());
-  for (uint32_t I = 1; I < Art.Interner->size(); ++I)
-    io::writeString(OS, Art.Interner->str(Symbol::fromIndex(I)));
+  appendPod(Buf, ContextsMagic);
+  appendPod(Buf, ContextsVersion);
+  appendPod(Buf, static_cast<uint8_t>(Art.Lang));
+  appendPod(Buf, static_cast<uint8_t>(Art.TaskKind));
+  appendPod(Buf, static_cast<uint8_t>(Art.Repr));
+  appendPod(Buf, static_cast<uint8_t>(Art.TriContexts));
+  appendPod(Buf, static_cast<int32_t>(Art.Extraction.MaxLength));
+  appendPod(Buf, static_cast<int32_t>(Art.Extraction.MaxWidth));
+  appendPod(Buf, static_cast<uint8_t>(Art.Extraction.Abst));
+  appendPod(Buf, static_cast<uint8_t>(Art.Extraction.IncludeSemiPaths));
 
-  io::writeVarint(OS, Art.Table.size());
-  for (uint32_t I = 1; I <= Art.Table.size(); ++I)
-    io::writeBytes(OS, Art.Table.bytes(I));
+  io::appendVarint(Buf, Art.Interner->size());
+  for (uint32_t I = 1; I < Art.Interner->size(); ++I) {
+    appendString(Buf, Art.Interner->str(Symbol::fromIndex(I)));
+    Flush(FlushBytes);
+  }
 
-  io::writeVarint(OS, Art.Files.size());
+  io::appendVarint(Buf, Art.Table.size());
+  for (uint32_t I = 1; I <= Art.Table.size(); ++I) {
+    appendBytes(Buf, Art.Table.bytes(I));
+    Flush(FlushBytes);
+  }
+
+  io::appendVarint(Buf, Art.Files.size());
   for (const FileRecord &Rec : Art.Files) {
-    io::writeString(OS, Rec.Project);
-    io::writeString(OS, Rec.FileName);
-    io::writeVarint(OS, Rec.Elements.size());
+    appendString(Buf, Rec.Project);
+    appendString(Buf, Rec.FileName);
+    io::appendVarint(Buf, Rec.Elements.size());
     for (const ElementInfo &E : Rec.Elements) {
-      io::writeVarint(OS, E.Name.index());
-      writePod(OS, static_cast<uint8_t>(E.Kind));
-      writePod(OS, static_cast<uint8_t>(E.Predictable));
+      io::appendVarint(Buf, E.Name.index());
+      appendPod(Buf, static_cast<uint8_t>(E.Kind));
+      appendPod(Buf, static_cast<uint8_t>(E.Predictable));
     }
-    io::writeVarint(OS, Rec.Contexts.size());
+    io::appendVarint(Buf, Rec.Contexts.size());
     for (const ContextRecord &C : Rec.Contexts) {
-      io::writeVarint(OS, C.Path);
-      writeElemId(OS, C.StartElem);
-      io::writeVarint(OS, C.StartValue.index());
-      writeElemId(OS, C.EndElem);
-      io::writeVarint(OS, C.EndValue.index());
-      writePod(OS, static_cast<uint8_t>(C.Semi));
+      io::appendVarint(Buf, C.Path);
+      appendElemId(Buf, C.StartElem);
+      io::appendVarint(Buf, C.StartValue.index());
+      appendElemId(Buf, C.EndElem);
+      io::appendVarint(Buf, C.EndValue.index());
+      appendPod(Buf, static_cast<uint8_t>(C.Semi));
     }
-    io::writeVarint(OS, Rec.Tris.size());
+    io::appendVarint(Buf, Rec.Tris.size());
     for (const TriRecord &T : Rec.Tris) {
-      io::writeVarint(OS, T.Path);
+      io::appendVarint(Buf, T.Path);
       for (int I = 0; I < 3; ++I) {
-        writeElemId(OS, T.Elem[I]);
-        io::writeVarint(OS, T.Value[I].index());
+        appendElemId(Buf, T.Elem[I]);
+        io::appendVarint(Buf, T.Value[I].index());
       }
     }
+    Flush(FlushBytes);
   }
+  Flush(0);
 }
 
 std::unique_ptr<ContextsArtifact> core::loadContexts(std::istream &IS) {

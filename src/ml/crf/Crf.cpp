@@ -28,15 +28,22 @@ using namespace pigeon::paths;
 // Feature hashing
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+constexpr uint64_t PairTag = 0x5041u;  // "PA"
+constexpr uint64_t UnaryTag = 0x554eu; // "UN"
+
+} // namespace
+
 uint64_t crf::pairKey(PathId Path, Symbol LabelA, Symbol LabelB) {
-  uint64_t H = hashCombine(0x5041u, Path); // "PA"
+  uint64_t H = hashCombine(PairTag, Path);
   H = hashCombine(H, LabelA.index());
   H = hashCombine(H, LabelB.index());
   return hashFinalize(H);
 }
 
 uint64_t crf::unaryKey(PathId Path, Symbol Label) {
-  uint64_t H = hashCombine(0x554eu, Path); // "UN"
+  uint64_t H = hashCombine(UnaryTag, Path);
   H = hashCombine(H, Label.index());
   return hashFinalize(H);
 }
@@ -337,19 +344,24 @@ FlatCrf CrfModel::flatten() const {
   return F;
 }
 
-std::vector<std::pair<Symbol, double>>
-CrfModel::candidatesFor(const CrfGraph &Graph, uint32_t Node,
-                        const std::vector<uint32_t> &Incident) const {
+void CrfModel::indexNode(const CrfGraph &Graph, uint32_t Node,
+                         std::span<const uint32_t> Adjacent,
+                         std::vector<std::pair<Symbol, double>> &Shares,
+                         UnknownIndex &Index) const {
+  size_t FactorBegin = Index.Factors.size();
+  for (uint32_t F : Adjacent)
+    if (!pathPruned(Graph.Factors[F].Path))
+      Index.Factors.push_back(F);
+  Index.FactorBegin.push_back(static_cast<uint32_t>(Index.Factors.size()));
+
   // Each context votes with its empirical label distribution P(label |
   // context): informative contexts concentrate their vote, noisy
   // (e.g. long-distance) contexts spread it thinly. The resulting list is
   // vote-ordered, so the first candidate is a good empirical argmax and a
   // good inference initialisation.
-  std::unordered_map<Symbol, double> Counts;
-  for (uint32_t F : Incident) {
-    const Factor &Fac = Graph.Factors[F];
-    if (pathPruned(Fac.Path))
-      continue;
+  Shares.clear();
+  for (size_t I = FactorBegin; I < Index.Factors.size(); ++I) {
+    const Factor &Fac = Graph.Factors[Index.Factors[I]];
     uint64_t Ctx;
     if (Fac.Unary) {
       // Unary factors (paths between occurrences of one element) carry
@@ -366,86 +378,164 @@ CrfModel::candidatesFor(const CrfGraph &Graph, uint32_t Node,
     if (!Cand)
       continue;
     double Total = Config.VoteSmoothing;
-    for (size_t I = 0; I < Cand.size(); ++I)
-      Total += static_cast<double>(Cand.count(I));
-    for (size_t I = 0; I < Cand.size(); ++I)
-      Counts[Cand.label(I)] += static_cast<double>(Cand.count(I)) / Total;
+    for (size_t C = 0; C < Cand.size(); ++C)
+      Total += static_cast<double>(Cand.count(C));
+    for (size_t C = 0; C < Cand.size(); ++C)
+      Shares.emplace_back(Cand.label(C),
+                          static_cast<double>(Cand.count(C)) / Total);
   }
-  std::vector<std::pair<Symbol, double>> Sorted(Counts.begin(),
-                                                Counts.end());
-  std::sort(Sorted.begin(), Sorted.end(), [](const auto &A, const auto &B) {
-    if (A.second != B.second)
-      return A.second > B.second;
+  // Each label's vote mass is the sum of its shares in factor order (the
+  // sort is stable). Labels end ordered by mass, ties by index, then the
+  // global fallbacks no context voted for.
+  auto ByIndex = [](const auto &A, const auto &B) {
     return A.first.index() < B.first.index();
-  });
-  for (Symbol S : GlobalTop)
-    if (!Counts.count(S))
-      Sorted.emplace_back(S, 0.0);
-  return Sorted;
+  };
+  std::stable_sort(Shares.begin(), Shares.end(), ByIndex);
+  size_t Voted = 0;
+  for (size_t I = 0; I < Shares.size();) {
+    Symbol Label = Shares[I].first;
+    double Mass = 0;
+    for (; I < Shares.size() && Shares[I].first == Label; ++I)
+      Mass += Shares[I].second;
+    Shares[Voted++] = {Label, Mass};
+  }
+  Shares.resize(Voted);
+  for (Symbol S : GlobalTop) {
+    std::pair<Symbol, double> Probe(S, 0.0);
+    if (!std::binary_search(Shares.begin(), Shares.begin() + Voted, Probe,
+                            ByIndex))
+      Shares.push_back(Probe);
+  }
+  std::sort(Shares.begin(), Shares.begin() + Voted,
+            [](const auto &A, const auto &B) {
+              if (A.second != B.second)
+                return A.second > B.second;
+              return A.first.index() < B.first.index();
+            });
+  for (const auto &[Label, Mass] : Shares) {
+    Index.Labels.push_back(Label);
+    Index.Votes.push_back(Mass);
+  }
+  Index.CandBegin.push_back(static_cast<uint32_t>(Index.Labels.size()));
 }
 
-double CrfModel::scoreLabel(const CrfGraph &Graph, uint32_t Node,
-                            Symbol Label,
+CrfModel::UnknownIndex CrfModel::indexUnknowns(const CrfGraph &Graph) const {
+  std::vector<std::vector<uint32_t>> Adj = Graph.adjacency();
+  UnknownIndex Index;
+  Index.FactorBegin.reserve(Graph.Unknowns.size() + 1);
+  Index.CandBegin.reserve(Graph.Unknowns.size() + 1);
+  std::vector<std::pair<Symbol, double>> Shares;
+  for (uint32_t N : Graph.Unknowns)
+    indexNode(Graph, N, Adj[N], Shares, Index);
+  return Index;
+}
+
+/// A pairwise or unary feature key with the scored node's label still to
+/// be folded in. Keys hash (tag, path, label A, label B) or (tag, path,
+/// label) in that order, so everything before the node's own label is
+/// one prefix.
+struct CrfModel::ScoreTerm {
+  /// Hash state just before the node's label.
+  uint64_t Prefix;
+  /// Set when the node is a pair factor's A side: the B label, folded in
+  /// after the node's.
+  bool HasSuffix;
+  Symbol Suffix;
+  /// The unknown node whose label the term reads (the node itself for a
+  /// non-unary self-loop), or UINT32_MAX.
+  uint32_t Reads;
+
+  uint64_t key(Symbol Label) const {
+    uint64_t H = hashCombine(Prefix, Label.index());
+    if (HasSuffix)
+      H = hashCombine(H, Suffix.index());
+    return hashFinalize(H);
+  }
+};
+
+void CrfModel::collectTerms(const CrfGraph &Graph, uint32_t Node,
+                            std::span<const uint32_t> Incident,
                             const std::vector<Symbol> &Assignment,
-                            const std::vector<uint32_t> &Incident) const {
-  double Score = weight(biasKey(Label));
+                            std::vector<ScoreTerm> &Terms) const {
+  Terms.clear();
   for (uint32_t F : Incident) {
     const Factor &Fac = Graph.Factors[F];
-    if (pathPruned(Fac.Path))
-      continue;
     if (Fac.Unary) {
       if (Config.UnaryFactors)
-        Score += weight(unaryKey(Fac.Path, Label));
+        Terms.push_back(
+            {hashCombine(UnaryTag, Fac.Path), false, Symbol(), UINT32_MAX});
       continue;
     }
     uint32_t Other = Fac.A == Node ? Fac.B : Fac.A;
-    if (!Config.UnknownUnknownFactors && !Graph.Nodes[Other].Known)
+    bool OtherKnown = Graph.Nodes[Other].Known;
+    if (!Config.UnknownUnknownFactors && !OtherKnown)
       continue;
+    uint32_t Reads = OtherKnown ? UINT32_MAX : Other;
+    uint64_t Prefix = hashCombine(PairTag, Fac.Path);
     if (Fac.A == Node)
-      Score += weight(pairKey(Fac.Path, Label, Assignment[Fac.B]));
+      Terms.push_back({Prefix, true, Assignment[Fac.B], Reads});
     else
-      Score += weight(pairKey(Fac.Path, Assignment[Fac.A], Label));
+      Terms.push_back({hashCombine(Prefix, Assignment[Fac.A].index()), false,
+                       Symbol(), Reads});
   }
+}
+
+double CrfModel::scoreTerms(Symbol Label,
+                            const std::vector<ScoreTerm> &Terms) const {
+  double Score = weight(biasKey(Label));
+  for (const ScoreTerm &T : Terms)
+    Score += weight(T.key(Label));
   return Score;
 }
 
-std::vector<Symbol>
-CrfModel::infer(const CrfGraph &Graph,
-                const std::vector<std::vector<uint32_t>> &Adj) const {
+std::vector<Symbol> CrfModel::infer(const CrfGraph &Graph,
+                                    const UnknownIndex &Index) const {
   std::vector<Symbol> Assignment(Graph.Nodes.size());
   for (uint32_t N = 0; N < Graph.Nodes.size(); ++N)
     Assignment[N] = Graph.Nodes[N].Gold;
   // Initialise unknowns with their strongest candidate (vote-ordered, so
   // this is the empirical argmax given contexts).
-  std::vector<std::vector<std::pair<Symbol, double>>> Cands(
-      Graph.Unknowns.size());
   for (size_t I = 0; I < Graph.Unknowns.size(); ++I) {
-    uint32_t N = Graph.Unknowns[I];
-    Cands[I] = candidatesFor(Graph, N, Adj[N]);
-    Assignment[N] = Cands[I].empty() ? Symbol() : Cands[I].front().first;
+    uint32_t Begin = Index.CandBegin[I];
+    Assignment[Graph.Unknowns[I]] =
+        Begin == Index.CandBegin[I + 1] ? Symbol() : Index.Labels[Begin];
   }
+  // Dirty[N]: a label N's score reads changed since N was last scored.
+  std::vector<uint8_t> Dirty(Graph.Nodes.size(), 1);
+  std::vector<ScoreTerm> Terms;
   // Iterated conditional ascent over score = vote prior + factor weights.
   for (int Pass = 0; Pass < Config.InferencePasses; ++Pass) {
     bool Changed = false;
     for (size_t I = 0; I < Graph.Unknowns.size(); ++I) {
       uint32_t N = Graph.Unknowns[I];
-      if (Cands[I].empty())
+      uint32_t Begin = Index.CandBegin[I], End = Index.CandBegin[I + 1];
+      if (Begin == End || !Dirty[N])
         continue;
+      Dirty[N] = 0;
+      collectTerms(Graph, N,
+                   std::span<const uint32_t>(
+                       Index.Factors.data() + Index.FactorBegin[I],
+                       Index.Factors.data() + Index.FactorBegin[I + 1]),
+                   Assignment, Terms);
       Symbol Best;
       double BestScore = 0;
       bool First = true;
-      for (const auto &[C, Vote] : Cands[I]) {
-        double S = Config.VotePrior * Vote +
-                   scoreLabel(Graph, N, C, Assignment, Adj[N]);
+      for (uint32_t C = Begin; C < End; ++C) {
+        double S = Config.VotePrior * Index.Votes[C] +
+                   scoreTerms(Index.Labels[C], Terms);
         if (First || S > BestScore) {
           BestScore = S;
-          Best = C;
+          Best = Index.Labels[C];
           First = false;
         }
       }
       if (Best != Assignment[N]) {
         Assignment[N] = Best;
         Changed = true;
+        // Whoever N's score reads also reads N's label.
+        for (const ScoreTerm &T : Terms)
+          if (T.Reads != UINT32_MAX)
+            Dirty[T.Reads] = 1;
       }
     }
     if (!Changed)
@@ -568,10 +658,17 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
       Reg.histogram("crf.epoch.seconds", telemetry::timeBounds());
   Features.clear();
   Time = 1;
-  std::vector<std::vector<std::vector<uint32_t>>> Adjacencies;
-  Adjacencies.reserve(Graphs.size());
-  for (const CrfGraph &G : Graphs)
-    Adjacencies.push_back(G.adjacency());
+  // Candidates depend only on the tables fixed above and on known labels,
+  // so every epoch reuses one index per graph. The indexes live through
+  // the whole training, so they keep no spare capacity.
+  std::vector<UnknownIndex> Indexes;
+  Indexes.reserve(Graphs.size());
+  for (const CrfGraph &G : Graphs) {
+    UnknownIndex &Index = Indexes.emplace_back(indexUnknowns(G));
+    Index.Factors.shrink_to_fit();
+    Index.Labels.shrink_to_fit();
+    Index.Votes.shrink_to_fit();
+  }
 
   for (int Epoch = 0; Epoch < Config.Epochs; ++Epoch) {
     telemetry::TraceScope EpochScope("epoch");
@@ -580,7 +677,7 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
       const CrfGraph &G = Graphs[GI];
       if (G.Unknowns.empty())
         continue;
-      std::vector<Symbol> Pred = infer(G, Adjacencies[GI]);
+      std::vector<Symbol> Pred = infer(G, Indexes[GI]);
       // Gold assignment is just the Gold labels.
       bool AnyMistake = false;
       for (uint32_t N : G.Unknowns)
@@ -649,7 +746,7 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
 }
 
 std::vector<Symbol> CrfModel::predict(const CrfGraph &Graph) const {
-  return infer(Graph, Graph.adjacency());
+  return infer(Graph, indexUnknowns(Graph));
 }
 
 std::vector<std::vector<Symbol>>
@@ -669,14 +766,16 @@ CrfModel::predictBatch(const std::vector<CrfGraph> &Graphs,
 std::vector<std::pair<Symbol, double>>
 CrfModel::topK(const CrfGraph &Graph, uint32_t Node,
                const std::vector<Symbol> &Assignment, int K) const {
-  auto Adj = Graph.adjacency();
-  auto Cands = candidatesFor(Graph, Node, Adj[Node]);
+  UnknownIndex Index;
   std::vector<std::pair<Symbol, double>> Scored;
-  Scored.reserve(Cands.size());
-  for (const auto &[C, Vote] : Cands)
-    Scored.emplace_back(
-        C, Config.VotePrior * Vote +
-               scoreLabel(Graph, Node, C, Assignment, Adj[Node]));
+  indexNode(Graph, Node, Graph.adjacency()[Node], Scored, Index);
+  std::vector<ScoreTerm> Terms;
+  collectTerms(Graph, Node, Index.Factors, Assignment, Terms);
+  Scored.clear();
+  for (size_t C = 0; C < Index.Labels.size(); ++C)
+    Scored.emplace_back(Index.Labels[C],
+                        Config.VotePrior * Index.Votes[C] +
+                            scoreTerms(Index.Labels[C], Terms));
   std::sort(Scored.begin(), Scored.end(), [](const auto &A, const auto &B) {
     if (A.second != B.second)
       return A.second > B.second;

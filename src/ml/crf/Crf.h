@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -315,20 +316,49 @@ private:
   double weight(uint64_t Key) const;
   void bump(uint64_t Key, double Delta);
 
-  /// Candidate labels for one unknown node with their empirical vote
-  /// masses, strongest first.
-  std::vector<std::pair<Symbol, double>>
-  candidatesFor(const CrfGraph &Graph, uint32_t Node,
-                const std::vector<uint32_t> &Incident) const;
+  /// What inference reads of one graph besides its labels, fixed while
+  /// the candidate tables are: the factors incident to each unknown (in
+  /// CrfGraph::adjacency() order) and each unknown's candidate labels
+  /// with their vote masses, strongest first. Unknown I (an index into
+  /// CrfGraph::Unknowns) owns Factors[FactorBegin[I], FactorBegin[I+1])
+  /// and Labels/Votes[CandBegin[I], CandBegin[I+1]).
+  /// Factors on pruned paths are left out: they add nothing to a score.
+  struct UnknownIndex {
+    std::vector<uint32_t> FactorBegin{0}, Factors;
+    std::vector<uint32_t> CandBegin{0};
+    std::vector<Symbol> Labels;
+    std::vector<double> Votes;
+  };
+  UnknownIndex indexUnknowns(const CrfGraph &Graph) const;
 
-  /// Score of labelling \p Node with \p Label under \p Assignment.
-  double scoreLabel(const CrfGraph &Graph, uint32_t Node, Symbol Label,
+  /// Appends \p Node, whose incident factors are \p Adjacent, to
+  /// \p Index as its next unknown. \p Shares is scratch space.
+  void indexNode(const CrfGraph &Graph, uint32_t Node,
+                 std::span<const uint32_t> Adjacent,
+                 std::vector<std::pair<Symbol, double>> &Shares,
+                 UnknownIndex &Index) const;
+
+  /// One factor's part of a node's score with the node's own label left
+  /// out: everything about the factor that does not depend on the
+  /// candidate label.
+  struct ScoreTerm;
+  /// The score terms of \p Node under \p Assignment, in factor order.
+  void collectTerms(const CrfGraph &Graph, uint32_t Node,
+                    std::span<const uint32_t> Incident,
                     const std::vector<Symbol> &Assignment,
-                    const std::vector<uint32_t> &Incident) const;
+                    std::vector<ScoreTerm> &Terms) const;
+  /// Score of labelling a node with \p Label given its \p Terms: the bias
+  /// weight, then each term's weight, added in factor order.
+  double scoreTerms(Symbol Label, const std::vector<ScoreTerm> &Terms) const;
 
+  /// MAP inference by iterated conditional ascent. From the second pass
+  /// on, an unknown is scored again only when a label its score reads
+  /// (a non-unary neighbour's, its own through a non-unary self-loop)
+  /// changed since it was last scored: its score is a pure function of
+  /// those labels, so it would pick the same label again. The result is
+  /// the one scoring every unknown in every pass gives.
   std::vector<Symbol> infer(const CrfGraph &Graph,
-                            const std::vector<std::vector<uint32_t>> &Adj)
-      const;
+                            const UnknownIndex &Index) const;
 };
 
 //===----------------------------------------------------------------------===//

@@ -80,7 +80,7 @@ bool readString(std::istream &IS, std::string &Out,
 //===----------------------------------------------------------------------===//
 
 /// Appends \p Value to \p Out as an LEB128 varint.
-inline void appendVarint(std::vector<uint8_t> &Out, uint32_t Value) {
+inline void appendVarint(std::vector<uint8_t> &Out, uint64_t Value) {
   while (Value >= 0x80) {
     Out.push_back(static_cast<uint8_t>(Value) | 0x80);
     Value >>= 7;
