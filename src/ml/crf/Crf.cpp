@@ -348,7 +348,7 @@ void CrfModel::indexNode(const CrfGraph &Graph, uint32_t Node,
                          std::span<const uint32_t> Adjacent,
                          std::vector<std::pair<Symbol, double>> &Shares,
                          UnknownIndex &Index) const {
-  size_t FactorBegin = Index.Factors.size();
+  const size_t Position = Index.FactorBegin.size() - 1;
   for (uint32_t F : Adjacent)
     if (!pathPruned(Graph.Factors[F].Path))
       Index.Factors.push_back(F);
@@ -360,8 +360,8 @@ void CrfModel::indexNode(const CrfGraph &Graph, uint32_t Node,
   // vote-ordered, so the first candidate is a good empirical argmax and a
   // good inference initialisation.
   Shares.clear();
-  for (size_t I = FactorBegin; I < Index.Factors.size(); ++I) {
-    const Factor &Fac = Graph.Factors[Index.Factors[I]];
+  for (uint32_t F : Index.factorsOf(Position)) {
+    const Factor &Fac = Graph.Factors[F];
     uint64_t Ctx;
     if (Fac.Unary) {
       // Unary factors (paths between occurrences of one element) carry
@@ -512,11 +512,7 @@ std::vector<Symbol> CrfModel::infer(const CrfGraph &Graph,
       if (Begin == End || !Dirty[N])
         continue;
       Dirty[N] = 0;
-      collectTerms(Graph, N,
-                   std::span<const uint32_t>(
-                       Index.Factors.data() + Index.FactorBegin[I],
-                       Index.Factors.data() + Index.FactorBegin[I + 1]),
-                   Assignment, Terms);
+      collectTerms(Graph, N, Index.factorsOf(I), Assignment, Terms);
       Symbol Best;
       double BestScore = 0;
       bool First = true;
@@ -767,11 +763,12 @@ std::vector<std::pair<Symbol, double>>
 CrfModel::topK(const CrfGraph &Graph, uint32_t Node,
                const std::vector<Symbol> &Assignment, int K) const {
   UnknownIndex Index;
-  std::vector<std::pair<Symbol, double>> Scored;
-  indexNode(Graph, Node, Graph.adjacency()[Node], Scored, Index);
+  std::vector<std::pair<Symbol, double>> Shares;
+  indexNode(Graph, Node, Graph.adjacency()[Node], Shares, Index);
   std::vector<ScoreTerm> Terms;
-  collectTerms(Graph, Node, Index.Factors, Assignment, Terms);
-  Scored.clear();
+  collectTerms(Graph, Node, Index.factorsOf(0), Assignment, Terms);
+  std::vector<std::pair<Symbol, double>> Scored;
+  Scored.reserve(Index.Labels.size());
   for (size_t C = 0; C < Index.Labels.size(); ++C)
     Scored.emplace_back(Index.Labels[C],
                         Config.VotePrior * Index.Votes[C] +

@@ -328,6 +328,11 @@ private:
     std::vector<uint32_t> CandBegin{0};
     std::vector<Symbol> Labels;
     std::vector<double> Votes;
+
+    std::span<const uint32_t> factorsOf(size_t I) const {
+      return {Factors.data() + FactorBegin[I],
+              Factors.data() + FactorBegin[I + 1]};
+    }
   };
   UnknownIndex indexUnknowns(const CrfGraph &Graph) const;
 
