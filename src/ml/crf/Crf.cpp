@@ -348,11 +348,11 @@ void CrfModel::indexNode(const CrfGraph &Graph, uint32_t Node,
                          std::span<const uint32_t> Adjacent,
                          std::vector<std::pair<Symbol, double>> &Shares,
                          UnknownIndex &Index) const {
-  const size_t Position = Index.FactorBegin.size() - 1;
+  const size_t Position = Index.size();
   for (uint32_t F : Adjacent)
     if (!pathPruned(Graph.Factors[F].Path))
       Index.Factors.push_back(F);
-  Index.FactorBegin.push_back(static_cast<uint32_t>(Index.Factors.size()));
+  Index.FactorBegin.push_back(Index.Factors.size());
 
   // Each context votes with its empirical label distribution P(label |
   // context): informative contexts concentrate their vote, noisy
@@ -416,18 +416,15 @@ void CrfModel::indexNode(const CrfGraph &Graph, uint32_t Node,
     Index.Labels.push_back(Label);
     Index.Votes.push_back(Mass);
   }
-  Index.CandBegin.push_back(static_cast<uint32_t>(Index.Labels.size()));
+  Index.CandBegin.push_back(Index.Labels.size());
 }
 
-CrfModel::UnknownIndex CrfModel::indexUnknowns(const CrfGraph &Graph) const {
+void CrfModel::indexUnknowns(const CrfGraph &Graph,
+                             UnknownIndex &Index) const {
   std::vector<std::vector<uint32_t>> Adj = Graph.adjacency();
-  UnknownIndex Index;
-  Index.FactorBegin.reserve(Graph.Unknowns.size() + 1);
-  Index.CandBegin.reserve(Graph.Unknowns.size() + 1);
   std::vector<std::pair<Symbol, double>> Shares;
   for (uint32_t N : Graph.Unknowns)
     indexNode(Graph, N, Adj[N], Shares, Index);
-  return Index;
 }
 
 /// A pairwise or unary feature key with the scored node's label still to
@@ -489,16 +486,18 @@ double CrfModel::scoreTerms(Symbol Label,
 }
 
 std::vector<Symbol> CrfModel::infer(const CrfGraph &Graph,
-                                    const UnknownIndex &Index) const {
+                                    const UnknownIndex &Index,
+                                    size_t FirstUnknown) const {
   std::vector<Symbol> Assignment(Graph.Nodes.size());
   for (uint32_t N = 0; N < Graph.Nodes.size(); ++N)
     Assignment[N] = Graph.Nodes[N].Gold;
   // Initialise unknowns with their strongest candidate (vote-ordered, so
   // this is the empirical argmax given contexts).
   for (size_t I = 0; I < Graph.Unknowns.size(); ++I) {
-    uint32_t Begin = Index.CandBegin[I];
+    size_t U = FirstUnknown + I;
+    size_t Begin = Index.CandBegin[U];
     Assignment[Graph.Unknowns[I]] =
-        Begin == Index.CandBegin[I + 1] ? Symbol() : Index.Labels[Begin];
+        Begin == Index.CandBegin[U + 1] ? Symbol() : Index.Labels[Begin];
   }
   // Dirty[N]: a label N's score reads changed since N was last scored.
   std::vector<uint8_t> Dirty(Graph.Nodes.size(), 1);
@@ -508,15 +507,16 @@ std::vector<Symbol> CrfModel::infer(const CrfGraph &Graph,
     bool Changed = false;
     for (size_t I = 0; I < Graph.Unknowns.size(); ++I) {
       uint32_t N = Graph.Unknowns[I];
-      uint32_t Begin = Index.CandBegin[I], End = Index.CandBegin[I + 1];
+      size_t U = FirstUnknown + I;
+      size_t Begin = Index.CandBegin[U], End = Index.CandBegin[U + 1];
       if (Begin == End || !Dirty[N])
         continue;
       Dirty[N] = 0;
-      collectTerms(Graph, N, Index.factorsOf(I), Assignment, Terms);
+      collectTerms(Graph, N, Index.factorsOf(U), Assignment, Terms);
       Symbol Best;
       double BestScore = 0;
       bool First = true;
-      for (uint32_t C = Begin; C < End; ++C) {
+      for (size_t C = Begin; C < End; ++C) {
         double S = Config.VotePrior * Index.Votes[C] +
                    scoreTerms(Index.Labels[C], Terms);
         if (First || S > BestScore) {
@@ -655,16 +655,22 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
   Features.clear();
   Time = 1;
   // Candidates depend only on the tables fixed above and on known labels,
-  // so every epoch reuses one index per graph. The indexes live through
-  // the whole training, so they keep no spare capacity.
-  std::vector<UnknownIndex> Indexes;
-  Indexes.reserve(Graphs.size());
+  // so every epoch reuses one index of all graphs' unknowns, graph after
+  // graph. It lives through the whole training, so it is a few flat
+  // arrays without spare capacity: thousands of small per-graph arrays
+  // would leave holes in the heap once training frees them.
+  UnknownIndex Index;
+  std::vector<size_t> FirstUnknown;
+  FirstUnknown.reserve(Graphs.size());
   for (const CrfGraph &G : Graphs) {
-    UnknownIndex &Index = Indexes.emplace_back(indexUnknowns(G));
-    Index.Factors.shrink_to_fit();
-    Index.Labels.shrink_to_fit();
-    Index.Votes.shrink_to_fit();
+    FirstUnknown.push_back(Index.size());
+    indexUnknowns(G, Index);
   }
+  Index.FactorBegin.shrink_to_fit();
+  Index.Factors.shrink_to_fit();
+  Index.CandBegin.shrink_to_fit();
+  Index.Labels.shrink_to_fit();
+  Index.Votes.shrink_to_fit();
 
   for (int Epoch = 0; Epoch < Config.Epochs; ++Epoch) {
     telemetry::TraceScope EpochScope("epoch");
@@ -673,7 +679,7 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
       const CrfGraph &G = Graphs[GI];
       if (G.Unknowns.empty())
         continue;
-      std::vector<Symbol> Pred = infer(G, Indexes[GI]);
+      std::vector<Symbol> Pred = infer(G, Index, FirstUnknown[GI]);
       // Gold assignment is just the Gold labels.
       bool AnyMistake = false;
       for (uint32_t N : G.Unknowns)
@@ -742,7 +748,9 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
 }
 
 std::vector<Symbol> CrfModel::predict(const CrfGraph &Graph) const {
-  return infer(Graph, indexUnknowns(Graph));
+  UnknownIndex Index;
+  indexUnknowns(Graph, Index);
+  return infer(Graph, Index, 0);
 }
 
 std::vector<std::vector<Symbol>>

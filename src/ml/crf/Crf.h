@@ -316,25 +316,31 @@ private:
   double weight(uint64_t Key) const;
   void bump(uint64_t Key, double Delta);
 
-  /// What inference reads of one graph besides its labels, fixed while
+  /// What inference reads of graphs besides their labels, fixed while
   /// the candidate tables are: the factors incident to each unknown (in
-  /// CrfGraph::adjacency() order) and each unknown's candidate labels
-  /// with their vote masses, strongest first. Unknown I (an index into
-  /// CrfGraph::Unknowns) owns Factors[FactorBegin[I], FactorBegin[I+1])
-  /// and Labels/Votes[CandBegin[I], CandBegin[I+1]).
-  /// Factors on pruned paths are left out: they add nothing to a score.
+  /// CrfGraph::adjacency() order, without the factors on pruned paths,
+  /// which add nothing to a score) and each unknown's candidate labels
+  /// with their vote masses, strongest first. Unknowns are numbered in
+  /// the order they are indexed; unknown U owns
+  /// Factors[FactorBegin[U], FactorBegin[U+1]) and
+  /// Labels/Votes[CandBegin[U], CandBegin[U+1]).
   struct UnknownIndex {
-    std::vector<uint32_t> FactorBegin{0}, Factors;
-    std::vector<uint32_t> CandBegin{0};
+    std::vector<size_t> FactorBegin{0};
+    std::vector<uint32_t> Factors;
+    std::vector<size_t> CandBegin{0};
     std::vector<Symbol> Labels;
     std::vector<double> Votes;
 
-    std::span<const uint32_t> factorsOf(size_t I) const {
-      return {Factors.data() + FactorBegin[I],
-              Factors.data() + FactorBegin[I + 1]};
+    /// Number of unknowns indexed.
+    size_t size() const { return CandBegin.size() - 1; }
+    std::span<const uint32_t> factorsOf(size_t U) const {
+      return {Factors.data() + FactorBegin[U],
+              Factors.data() + FactorBegin[U + 1]};
     }
   };
-  UnknownIndex indexUnknowns(const CrfGraph &Graph) const;
+  /// Appends the unknowns of \p Graph, in CrfGraph::Unknowns order, to
+  /// \p Index.
+  void indexUnknowns(const CrfGraph &Graph, UnknownIndex &Index) const;
 
   /// Appends \p Node, whose incident factors are \p Adjacent, to
   /// \p Index as its next unknown. \p Shares is scratch space.
@@ -361,9 +367,10 @@ private:
   /// (a non-unary neighbour's, its own through a non-unary self-loop)
   /// changed since it was last scored: its score is a pure function of
   /// those labels, so it would pick the same label again. The result is
-  /// the one scoring every unknown in every pass gives.
-  std::vector<Symbol> infer(const CrfGraph &Graph,
-                            const UnknownIndex &Index) const;
+  /// the one scoring every unknown in every pass gives. \p Graph's
+  /// unknown I is unknown \p FirstUnknown + I of \p Index.
+  std::vector<Symbol> infer(const CrfGraph &Graph, const UnknownIndex &Index,
+                            size_t FirstUnknown) const;
 };
 
 //===----------------------------------------------------------------------===//
