@@ -31,7 +31,7 @@
 #include "core/ContextsIO.h"
 #include "core/ModelIO.h"
 #include "serve/Serve.h"
-#include "serve/SlowLog.h"
+#include "serve/Timeline.h"
 #include "support/Parallel.h"
 #include "support/TablePrinter.h"
 
@@ -364,10 +364,15 @@ int main() {
   }
   OpenLoop.print(std::cout);
 
-  // Where the milliseconds went: the serve.stage.* histograms both
-  // Service instances observed into, one row per pipeline stage.
-  TablePrinter Stages("per-stage latency, all " +
-                      std::to_string(2 * Lines.size()) + " requests");
+  // Where the milliseconds went: the serve.stage.* histograms every
+  // Service since the reset observed into, one row per timeline stage.
+  // The label counts what the histograms hold, not what was sent.
+  TablePrinter Stages(
+      "per-stage latency, " +
+      std::to_string(
+          Reg.histogram("serve.request.seconds", telemetry::timeBounds())
+              .count()) +
+      " requests");
   Stages.setHeader({"Stage", "p50 ms", "p99 ms", "Count"});
   for (const char *Stage : serve::StageNames) {
     auto &H = Reg.histogram("serve.stage." + std::string(Stage) + ".seconds",

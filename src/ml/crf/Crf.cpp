@@ -73,6 +73,16 @@ std::vector<std::vector<uint32_t>> CrfGraph::adjacency() const {
   return Adj;
 }
 
+std::vector<uint32_t> CrfGraph::incident(uint32_t Node) const {
+  std::vector<uint32_t> Out;
+  for (uint32_t F = 0; F < Factors.size(); ++F) {
+    const Factor &Fac = Factors[F];
+    if (Fac.A == Node || (!Fac.Unary && Fac.B == Node))
+      Out.push_back(F);
+  }
+  return Out;
+}
+
 namespace {
 
 /// Shared node-mapping logic for graph building.
@@ -772,7 +782,7 @@ CrfModel::topK(const CrfGraph &Graph, uint32_t Node,
                const std::vector<Symbol> &Assignment, int K) const {
   UnknownIndex Index;
   std::vector<std::pair<Symbol, double>> Shares;
-  indexNode(Graph, Node, Graph.adjacency()[Node], Shares, Index);
+  indexNode(Graph, Node, Graph.incident(Node), Shares, Index);
   std::vector<ScoreTerm> Terms;
   collectTerms(Graph, Node, Index.factorsOf(0), Assignment, Terms);
   std::vector<std::pair<Symbol, double>> Scored;
@@ -818,8 +828,7 @@ NodeExplanation CrfModel::explain(const CrfGraph &Graph, uint32_t Node,
   // Aggregate factor contributions by (path, unary, neighbour): a path
   // occurring twice between the same pair is one line in the report.
   std::map<std::tuple<paths::PathId, bool, uint32_t>, Attribution> Agg;
-  auto Adj = Graph.adjacency();
-  for (uint32_t F : Adj[Node]) {
+  for (uint32_t F : Graph.incident(Node)) {
     const Factor &Fac = Graph.Factors[F];
     if (pathPruned(Fac.Path))
       continue;

@@ -72,6 +72,8 @@ struct CrfGraph {
 
   /// Factor indices incident to each node.
   std::vector<std::vector<uint32_t>> adjacency() const;
+  /// adjacency()[Node] alone, without building the other nodes' lists.
+  std::vector<uint32_t> incident(uint32_t Node) const;
 };
 
 /// Selects which elements a task predicts (unknown nodes). Everything

@@ -7,7 +7,7 @@
 #include "serve/Serve.h"
 
 #include "core/Experiments.h"
-#include "serve/SlowLog.h"
+#include "serve/Timeline.h"
 #include "lang/csharp/CsParser.h"
 #include "lang/java/JavaParser.h"
 #include "lang/js/JsParser.h"
@@ -677,13 +677,12 @@ void Service::batcherLoop(size_t Worker) {
 }
 
 void Service::processBatch(std::vector<Pending> Batch) {
-  // t_batch_seal: the straggler window closed the moment the batcher
-  // handed the batch over. Later pipeline boundaries are stamped after
-  // their stage blocks; the six consecutive differences are the stage
-  // durations and sum to each request's total latency by construction.
-  const auto TSeal = std::chrono::steady_clock::now();
   auto &Reg = telemetry::MetricsRegistry::global();
   telemetry::TraceScope BatchScope("serve.batch");
+  // The straggler window closed the moment the batcher handed the batch
+  // over: decode starts now. Each later boundary is stamped once for the
+  // whole batch (see Timeline.h).
+  BatchTimeline Timeline;
   Reg.histogram("serve.batch.size", telemetry::linearBounds(1, 32))
       .observe(static_cast<double>(Batch.size()));
   Reg.windowed("serve.batch.size", telemetry::linearBounds(1, 32),
@@ -699,8 +698,11 @@ void Service::processBatch(std::vector<Pending> Batch) {
     std::unique_ptr<StringInterner> LocalSI;
     std::unique_ptr<paths::PathTable> LocalTable;
     lang::ParseResult R;
-    crf::CrfGraph G;
+    crf::CrfGraph G; ///< Moved to Graphs[GraphIndex] after extract.
     size_t GraphIndex = ~size_t(0);
+    /// Per unknown of the graph, in CrfGraph::Unknowns order.
+    std::vector<std::vector<std::pair<Symbol, double>>> Top;
+    std::vector<crf::NodeExplanation> Explain; ///< Empty unless asked.
   };
   std::vector<Item> Items(Batch.size());
   for (size_t I = 0; I < Batch.size(); ++I)
@@ -715,26 +717,23 @@ void Service::processBatch(std::vector<Pending> Batch) {
   // Decode + deadline check (serial; JSON decoding is cheap next to
   // parsing, and failing before the parallel stage keeps malformed input
   // from ever touching the pipeline).
-  {
-    parallel::StageTimer Timer("serve.decode");
-    auto Now = std::chrono::steady_clock::now();
-    for (Item &It : Items) {
-      if (auto Error =
-              decodeRequest(It.P.Line, *Bundle, Config, It.P.Seq, It.D)) {
-        It.Failed = true;
-        It.Response = std::move(*Error);
-        continue;
-      }
-      if (It.D.DeadlineMs >= 0) {
-        double WaitedMs =
-            std::chrono::duration<double, std::milli>(Now - It.P.Arrival)
-                .count();
-        if (WaitedMs > It.D.DeadlineMs)
-          fail(It, ErrorCode::DeadlineExceeded,
-               "deadline of " + telemetry::jsonNumber(It.D.DeadlineMs) +
-                   " ms passed after " + telemetry::jsonNumber(WaitedMs) +
-                   " ms in queue");
-      }
+  auto Now = std::chrono::steady_clock::now();
+  for (Item &It : Items) {
+    if (auto Error =
+            decodeRequest(It.P.Line, *Bundle, Config, It.P.Seq, It.D)) {
+      It.Failed = true;
+      It.Response = std::move(*Error);
+      continue;
+    }
+    if (It.D.DeadlineMs >= 0) {
+      double WaitedMs =
+          std::chrono::duration<double, std::milli>(Now - It.P.Arrival)
+              .count();
+      if (WaitedMs > It.D.DeadlineMs)
+        fail(It, ErrorCode::DeadlineExceeded,
+             "deadline of " + telemetry::jsonNumber(It.D.DeadlineMs) +
+                 " ms passed after " + telemetry::jsonNumber(WaitedMs) +
+                 " ms in queue");
     }
   }
 
@@ -744,24 +743,21 @@ void Service::processBatch(std::vector<Pending> Batch) {
   // in the overlay. The resident interner is never written while
   // serving, so overlay reads stay exact even while other batcher
   // workers process their own batches.
-  {
-    parallel::StageTimer Timer("serve.parse");
-    parallel::parallelFor(Items.size(), 0, [&](size_t I) {
-      Item &It = Items[I];
-      if (It.Failed)
-        return;
-      It.LocalSI = std::make_unique<StringInterner>(StringInterner::Delta,
-                                                    *Bundle->Interner);
-      It.R = parseAs(It.D.Lang, It.D.Source, *It.LocalSI);
-    });
-    for (Item &It : Items)
-      if (!It.Failed && !It.R.Tree) {
-        std::string Reason =
-            It.R.Diags.empty() ? "no tree produced" : It.R.Diags[0].str();
-        fail(It, ErrorCode::ParseFailed, "parse failed: " + Reason);
-      }
-  }
-  const auto TParse = std::chrono::steady_clock::now(); // t_parse_done.
+  Timeline.enter("parse");
+  parallel::parallelFor(Items.size(), 0, [&](size_t I) {
+    Item &It = Items[I];
+    if (It.Failed)
+      return;
+    It.LocalSI = std::make_unique<StringInterner>(StringInterner::Delta,
+                                                  *Bundle->Interner);
+    It.R = parseAs(It.D.Lang, It.D.Source, *It.LocalSI);
+  });
+  for (Item &It : Items)
+    if (!It.Failed && !It.R.Tree) {
+      std::string Reason =
+          It.R.Diags.empty() ? "no tree produced" : It.R.Diags[0].str();
+      fail(It, ErrorCode::ParseFailed, "parse failed: " + Reason);
+    }
 
   // Extract + assemble against per-request delta overlays of the
   // bundle's path table — nothing here (or anywhere in the pipeline)
@@ -776,39 +772,54 @@ void Service::processBatch(std::vector<Pending> Batch) {
   // stay byte-identical to one-shot `pigeon predict` without the serial
   // commit the single-batcher design needed. Share-nothing items also
   // make the stage safe to run on the pool.
+  Timeline.enter("extract");
+  parallel::parallelFor(Items.size(), 0, [&](size_t I) {
+    Item &It = Items[I];
+    if (It.Failed)
+      return;
+    It.LocalTable = std::make_unique<paths::PathTable>(
+        paths::PathTable::Delta, Bundle->Table);
+    auto Contexts = paths::extractPathContexts(
+        *It.R.Tree, Bundle->Extraction, *It.LocalTable);
+    It.G = crf::buildGraph(*It.R.Tree, Contexts,
+                           core::selectorFor(Bundle->TaskKind));
+  });
   std::vector<crf::CrfGraph> Graphs;
-  {
-    parallel::StageTimer Timer("serve.extract");
-    parallel::parallelFor(Items.size(), 0, [&](size_t I) {
-      Item &It = Items[I];
-      if (It.Failed)
-        return;
-      It.LocalTable = std::make_unique<paths::PathTable>(
-          paths::PathTable::Delta, Bundle->Table);
-      auto Contexts = paths::extractPathContexts(
-          *It.R.Tree, Bundle->Extraction, *It.LocalTable);
-      It.G = crf::buildGraph(*It.R.Tree, Contexts,
-                             core::selectorFor(Bundle->TaskKind));
-    });
-    for (Item &It : Items) {
-      if (It.Failed)
-        continue;
-      It.GraphIndex = Graphs.size();
-      Graphs.push_back(It.G);
-    }
+  for (Item &It : Items) {
+    if (It.Failed)
+      continue;
+    It.GraphIndex = Graphs.size();
+    Graphs.push_back(std::move(It.G));
   }
-  const auto TRemap = std::chrono::steady_clock::now(); // t_remap_done.
 
   // Inference, sharded inside predictBatch.
-  std::vector<std::vector<Symbol>> Preds;
-  {
-    parallel::StageTimer Timer("serve.predict");
-    Preds = Bundle->Model.predictBatch(Graphs);
+  Timeline.enter("infer");
+  std::vector<std::vector<Symbol>> Preds = Bundle->Model.predictBatch(Graphs);
+
+  // Candidates (and attributions, when asked) for every unknown of the
+  // batch, so rendering below is serialization only.
+  Timeline.enter("topk");
+  for (Item &It : Items) {
+    if (It.Failed)
+      continue;
+    const crf::CrfGraph &G = Graphs[It.GraphIndex];
+    const std::vector<Symbol> &Pred = Preds[It.GraphIndex];
+    It.Top.reserve(G.Unknowns.size());
+    for (uint32_t N : G.Unknowns)
+      It.Top.push_back(Bundle->Model.topK(G, N, Pred, It.D.K));
+    if (!It.D.Explain)
+      continue;
+    It.Explain.resize(G.Unknowns.size());
+    for (size_t U = 0; U < G.Unknowns.size(); ++U) {
+      uint32_t N = G.Unknowns[U];
+      if (Pred[N].isValid())
+        It.Explain[U] =
+            Bundle->Model.explain(G, N, Pred[N], Pred, Config.ExplainPaths);
+    }
   }
-  const auto TPredict = std::chrono::steady_clock::now(); // t_predict_done.
 
   // Render + deliver in admission order.
-  parallel::StageTimer RenderTimer("serve.render");
+  Timeline.enter("render");
 
   // Per-stage latency series, resolved once per batch.
   std::array<telemetry::Histogram *, NumStages> StageHist;
@@ -819,17 +830,6 @@ void Service::processBatch(std::vector<Pending> Batch) {
                                 Config.WindowSlices, Config.WindowSliceSeconds);
   }
 
-  // Batch context for slow-request captures: who shared the batch.
-  std::vector<uint64_t> BatchRids;
-  BatchRids.reserve(Items.size());
-  for (const Item &It : Items)
-    BatchRids.push_back(It.P.Seq);
-  auto &Slow = SlowLog::global();
-  double SlowThresholdMs =
-      Config.SlowTraceMs >= 0
-          ? Config.SlowTraceMs
-          : (Config.SloP99Ms > 0 ? Config.SloP99Ms : 0.0);
-
   for (Item &It : Items) {
     std::string Out;
     if (!It.Failed) {
@@ -837,14 +837,14 @@ void Service::processBatch(std::vector<Pending> Batch) {
       // symbols delegate to the shared base, provisional ones to the
       // overlay's private storage.
       const StringInterner &SI = *It.LocalSI;
+      const crf::CrfGraph &G = Graphs[It.GraphIndex];
       const std::vector<Symbol> &Pred = Preds[It.GraphIndex];
       Out = renderHead(It.P.Seq, It.D.IdJson) + "\"ok\":true,\"predictions\":[";
-      bool FirstNode = true;
-      for (uint32_t N : It.G.Unknowns) {
-        const crf::GraphNode &Node = It.G.Nodes[N];
-        if (!FirstNode)
+      for (size_t U = 0; U < G.Unknowns.size(); ++U) {
+        uint32_t N = G.Unknowns[U];
+        const crf::GraphNode &Node = G.Nodes[N];
+        if (U)
           Out += ",";
-        FirstNode = false;
         Out += "{\"element\":" + telemetry::jsonString(SI.str(Node.Gold));
         Out += ",\"kind\":";
         Out += telemetry::jsonString(
@@ -853,9 +853,8 @@ void Service::processBatch(std::vector<Pending> Batch) {
                       It.R.Tree->element(Node.Element).Kind)
                 : "?");
         Out += ",\"candidates\":[";
-        auto Top = Bundle->Model.topK(It.G, N, Pred, It.D.K);
         bool FirstCand = true;
-        for (const auto &[Label, Score] : Top) {
+        for (const auto &[Label, Score] : It.Top[U]) {
           if (!FirstCand)
             Out += ",";
           FirstCand = false;
@@ -864,8 +863,7 @@ void Service::processBatch(std::vector<Pending> Batch) {
         }
         Out += "]";
         if (It.D.Explain && Pred[N].isValid()) {
-          crf::NodeExplanation E = Bundle->Model.explain(
-              It.G, N, Pred[N], Pred, Config.ExplainPaths);
+          const crf::NodeExplanation &E = It.Explain[U];
           Out += ",\"explain\":{\"total\":" +
                  telemetry::jsonNumber(E.Total) +
                  ",\"bias\":" + telemetry::jsonNumber(E.Bias) +
@@ -891,45 +889,30 @@ void Service::processBatch(std::vector<Pending> Batch) {
       Out += "]";
     }
 
-    // t_respond: stamped once this request's predictions are rendered —
-    // the timing echo below describes a closed timeline, so the stage
+    // Render ends once this request's predictions are serialized: the
+    // timing echo below describes a closed timeline, so the stage
     // durations sum to total_ms exactly.
-    const auto TRespond = std::chrono::steady_clock::now();
-    auto Sec = [](std::chrono::steady_clock::time_point A,
-                  std::chrono::steady_clock::time_point B) {
-      return std::chrono::duration<double>(B - A).count();
-    };
-    const std::array<double, NumStages> StageS = {
-        Sec(It.P.Arrival, It.P.BatchOpen), // queue
-        Sec(It.P.BatchOpen, TSeal),        // seal
-        Sec(TSeal, TParse),                // parse (incl. decode)
-        Sec(TParse, TRemap),               // remap (+ extract + assemble)
-        Sec(TRemap, TPredict),             // predict
-        Sec(TPredict, TRespond),           // render
-    };
-    const double Wall = Sec(It.P.Arrival, TRespond);
+    RequestSample Sample = Timeline.close(It.P.Arrival, It.P.BatchOpen);
+    Sample.Rid = It.P.Seq;
+    Sample.IdJson = It.D.IdJson;
+    Sample.Ok = !It.Failed;
+    if (It.Failed)
+      Sample.Code = errorCodeName(It.Code);
+    Sample.BatchSize = Items.size();
+    Sample.DepthAtAdmit = It.P.DepthAtAdmit;
 
     if (!It.Failed) {
-      if (It.D.Timing) {
-        Out += ",\"timing\":{";
-        for (size_t S = 0; S < NumStages; ++S) {
-          Out += "\"";
-          Out += StageNames[S];
-          Out += "_ms\":" + telemetry::jsonNumber(StageS[S] * 1000.0) + ",";
-        }
-        Out += "\"total_ms\":" + telemetry::jsonNumber(Wall * 1000.0) +
-               ",\"batch_size\":" + std::to_string(Items.size()) +
-               ",\"depth_at_admit\":" + std::to_string(It.P.DepthAtAdmit) +
-               "}";
-      }
+      if (It.D.Timing)
+        Out += ",\"timing\":" + renderTiming(Sample);
       Out += "}";
       It.Response = std::move(Out);
     }
 
     for (size_t S = 0; S < NumStages; ++S) {
-      StageHist[S]->observe(StageS[S]);
-      StageWin[S]->observe(StageS[S]);
+      StageHist[S]->observe(Sample.StageMs[S] / 1000.0);
+      StageWin[S]->observe(Sample.StageMs[S] / 1000.0);
     }
+    const double Wall = Sample.TotalMs / 1000.0;
     Reg.histogram("serve.request.seconds", telemetry::timeBounds())
         .observe(Wall);
     Reg.windowed("serve.request.seconds", telemetry::timeBounds(),
@@ -947,41 +930,7 @@ void Service::processBatch(std::vector<Pending> Batch) {
     }
     auto &Log = telemetry::EventLog::global();
     if (Log.enabled())
-      Log.record("serve.request",
-                 {{"rid", std::to_string(It.P.Seq)},
-                  {"id", It.D.IdJson},
-                  {"ok", It.Failed ? "false" : "true"},
-                  {"code",
-                   It.Failed
-                       ? telemetry::jsonString(errorCodeName(It.Code))
-                       : std::string("null")},
-                  {"wall", telemetry::jsonNumber(Wall)},
-                  {"queue", telemetry::jsonNumber(StageS[0])},
-                  {"seal", telemetry::jsonNumber(StageS[1])},
-                  {"parse", telemetry::jsonNumber(StageS[2])},
-                  {"remap", telemetry::jsonNumber(StageS[3])},
-                  {"predict", telemetry::jsonNumber(StageS[4])},
-                  {"render", telemetry::jsonNumber(StageS[5])},
-                  {"batch", std::to_string(Items.size())},
-                  {"depth", std::to_string(It.P.DepthAtAdmit)}});
-
-    // Tail sampling: capture the full timeline + batch context of any
-    // request slower than the threshold.
-    if (Slow.enabled() && Wall * 1000.0 > SlowThresholdMs) {
-      RequestSample Sample;
-      Sample.Rid = It.P.Seq;
-      Sample.IdJson = It.D.IdJson;
-      Sample.Ok = !It.Failed;
-      if (It.Failed)
-        Sample.Code = errorCodeName(It.Code);
-      Sample.TotalMs = Wall * 1000.0;
-      for (size_t S = 0; S < NumStages; ++S)
-        Sample.StageMs[S] = StageS[S] * 1000.0;
-      Sample.BatchSize = Items.size();
-      Sample.DepthAtAdmit = It.P.DepthAtAdmit;
-      Slow.append(renderSlowLogEntry(Sample, BatchRids, uptimeSeconds()));
-      Reg.counter("serve.slow.requests").inc();
-    }
+      Log.record("serve.request", eventFields(Sample));
 
     It.P.Done(std::move(It.Response));
     InFlight.fetch_sub(1, std::memory_order_relaxed);

@@ -22,15 +22,20 @@
 ///              "ok": true,
 ///              "predictions": [{"element": ..., "kind": ...,
 ///                "candidates": [{"label": ..., "score": ...}, ...],
-///                "explain": [...]}]}
+///                "explain": [...]}],
+///              "timing": {"queue_ms": ..., "seal_ms": ...,
+///                "decode_ms": ..., "parse_ms": ..., "extract_ms": ...,
+///                "infer_ms": ..., "topk_ms": ..., "render_ms": ...,
+///                "total_ms": ..., "batch_size": 4,
+///                "depth_at_admit": 3}}
 ///   error:    {"schema": "pigeon.serve.v1", "rid": 7, "id": <echo>,
 ///              "ok": false,
 ///              "error": {"code": "unknown_lang", "message": "..."}}
 ///
 /// `rid` is the request id the service assigned at admission: unique
 /// across every connection of the serving process, in admission order,
-/// and the join key between a response, its `serve.request` event
-/// record, and its slow-log capture. Admission-time rejections
+/// and the join key between a response and its `serve.request` event
+/// record. Admission-time rejections
 /// (`overloaded`, `shutting_down`) happen before a rid is assigned and
 /// omit the field.
 ///
@@ -47,10 +52,11 @@
 /// per batch:
 ///
 ///   decode (serial) → parse (support/Parallel pool, one private
-///   interner per request) → extract+assemble (per-request delta
-///   overlays of the bundle's path table) → predict
-///   (CrfModel::predictBatch, sharded) → render + deliver in admission
-///   order within the batch.
+///   interner per request) → extract (per-request delta overlays of the
+///   bundle's path table, then graph assembly) → infer
+///   (CrfModel::predictBatch, sharded) → topk (candidates and, when
+///   asked, attributions for every unknown) → render + deliver in
+///   admission order within the batch.
 ///
 /// Nothing in this pipeline writes the resident bundle: parsing and
 /// extraction intern novel strings/paths into *per-request* delta
@@ -67,27 +73,37 @@
 /// parse or inference.
 ///
 /// Everything is wired into Telemetry/EventLog: `serve.requests`,
-/// `serve.batch.size`, per-phase `serve.<phase>.wall.seconds`
+/// `serve.batch.size`, per-stage `serve.stage.<stage>.seconds`
 /// histograms (p50/p99 in every sidecar), and per-request
 /// `serve.request` event records nested under `serve.batch` spans.
 /// Request latency, batch size and queue depth additionally feed
 /// sliding-window histograms (WindowedHistogram) so a resident server
 /// exposes live last-minute percentiles, not just since-start ones.
 ///
-/// Request lifecycle: the batcher stamps a monotonic timestamp at each
-/// pipeline boundary — t_admit, t_batch_open, t_batch_seal,
-/// t_parse_done, t_remap_done, t_predict_done, t_respond — and the six
-/// consecutive differences are the stage durations `queue` (admission
-/// queue wait), `seal` (straggler-flush wait), `parse` (decode + parse),
-/// `remap` (bundle-space remap + extract + graph assembly), `predict`,
-/// `render`. By construction they sum to the request's total latency.
-/// Each stage feeds `serve.stage.<name>.seconds` (cumulative + windowed)
-/// and rides on the `serve.request` event record; `"timing": true` in a
-/// request echoes the same decomposition inline as a `"timing"` object
-/// on the (ok) response. Requests slower than ServeConfig::SlowTraceMs
-/// (fallback: SloP99Ms) are additionally captured to the process
-/// SlowLog (see SlowLog.h) with their batch context. Responses without
-/// `"timing"` are unchanged by all of this except the `rid` field.
+/// Request lifecycle: one timeline of eight stages (Timeline.h) —
+/// `queue` (admission-queue wait), `seal` (straggler-flush wait),
+/// `decode`, `parse`, `extract`, `infer`, `topk`, `render` — whose
+/// boundaries the batch stamps once each. By construction the stage
+/// durations sum to the request's total latency. Each stage feeds
+/// `serve.stage.<stage>.seconds` (cumulative + windowed) and the
+/// phase-profiler frame of the same name, and rides on the
+/// `serve.request` event record; `"timing": true` in a request echoes
+/// the same decomposition inline as a `"timing"` object on the (ok)
+/// response. Responses without `"timing"` are unchanged by all of this
+/// except the `rid` field.
+///
+/// The `timing` keys were renamed within pigeon.serve.v1 when the
+/// stages were split to match the code they time:
+///
+///   old key       new key(s)
+///   queue_ms      queue_ms
+///   seal_ms       seal_ms
+///   parse_ms      decode_ms + parse_ms
+///   remap_ms      extract_ms
+///   predict_ms    infer_ms
+///   render_ms     topk_ms + render_ms
+///
+/// `total_ms`, `batch_size` and `depth_at_admit` are unchanged.
 ///
 /// The service also enables the EventLog flight recorder (a ring of the
 /// last ServeConfig::FlightRecorder event records, captured even without
@@ -163,12 +179,6 @@ struct ServeConfig {
   /// SLO target for the windowed p99 of `serve.request.seconds`, in
   /// milliseconds; <= 0 means no target (admin:"slo" reports disabled).
   double SloP99Ms = 0;
-  /// Slow-request capture threshold in milliseconds: when the process
-  /// SlowLog is open, a request whose total latency exceeds it is
-  /// captured with its stage timeline and batch context. Negative (the
-  /// default) falls back to SloP99Ms when that is set; with neither set,
-  /// every request is captured (threshold 0 — the ring cap bounds it).
-  double SlowTraceMs = -1;
   /// Capacity (records) of the EventLog flight-recorder ring the service
   /// enables on construction; 0 leaves the ring untouched.
   size_t FlightRecorder = 256;

@@ -1,51 +1,96 @@
-//===- SlowLog.cpp - Tail-latency forensics for pigeon serve ---------------===//
+//===- Timeline.cpp - The serve request timeline ---------------------------===//
 //
 // Part of the PIGEON project, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 
-#include "serve/SlowLog.h"
+#include "serve/Timeline.h"
 
-#include "support/EventLog.h"
+#include "support/PhaseProfiler.h"
 #include "support/TablePrinter.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 using namespace pigeon;
 using namespace pigeon::serve;
 
 const std::array<const char *, NumStages> serve::StageNames = {
-    "queue", "seal", "parse", "remap", "predict", "render"};
+    "queue", "seal", "decode", "parse", "extract", "infer", "topk", "render"};
 
 //===----------------------------------------------------------------------===//
-// Entry rendering / parsing
+// Stamping
 //===----------------------------------------------------------------------===//
 
-std::string serve::renderSlowLogEntry(const RequestSample &S,
-                                      const std::vector<uint64_t> &BatchRids,
-                                      double UptimeSeconds) {
-  std::string Out = "{\"schema\":\"pigeon.slowlog.v1\",\"rid\":" +
-                    std::to_string(S.Rid) + ",\"id\":" + S.IdJson +
-                    ",\"ok\":" + (S.Ok ? "true" : "false") + ",\"code\":" +
-                    (S.Ok ? std::string("null") : telemetry::jsonString(S.Code)) +
-                    ",\"total_ms\":" + telemetry::jsonNumber(S.TotalMs);
+namespace {
+
+constexpr size_t DecodeStage = 2; ///< The first stage a batch runs.
+
+} // namespace
+
+BatchTimeline::BatchTimeline() : Current(DecodeStage) {
+  Bounds[Current] = Clock::now();
+  telemetry::profilerPushFrame(StageNames[Current]);
+}
+
+BatchTimeline::~BatchTimeline() { telemetry::profilerPopFrame(); }
+
+void BatchTimeline::enter([[maybe_unused]] std::string_view Stage) {
+  assert(Current + 1 < NumStages && StageNames[Current + 1] == Stage &&
+         "a batch enters its stages in StageNames order");
+  Bounds[++Current] = Clock::now();
+  telemetry::profilerPopFrame();
+  telemetry::profilerPushFrame(StageNames[Current]);
+}
+
+RequestSample BatchTimeline::close(Clock::time_point Admit,
+                                   Clock::time_point Open) const {
+  std::array<Clock::time_point, NumStages + 1> B = Bounds;
+  B[0] = Admit;
+  B[1] = Open;
+  B[NumStages] = Clock::now();
+  auto Ms = [](Clock::time_point From, Clock::time_point To) {
+    return std::chrono::duration<double, std::milli>(To - From).count();
+  };
+  RequestSample S;
+  for (size_t I = 0; I < NumStages; ++I)
+    S.StageMs[I] = Ms(B[I], B[I + 1]);
+  S.TotalMs = Ms(B[0], B[NumStages]);
+  return S;
+}
+
+//===----------------------------------------------------------------------===//
+// Event records and the timing echo
+//===----------------------------------------------------------------------===//
+
+std::vector<telemetry::EventField> serve::eventFields(const RequestSample &S) {
+  // Event records carry seconds, the stream's native unit.
+  std::vector<telemetry::EventField> Fields = {
+      {"rid", std::to_string(S.Rid)},
+      {"id", S.IdJson},
+      {"ok", S.Ok ? "true" : "false"},
+      {"code", S.Ok ? std::string("null") : telemetry::jsonString(S.Code)},
+      {"wall", telemetry::jsonNumber(S.TotalMs / 1000.0)}};
+  for (size_t I = 0; I < NumStages; ++I)
+    Fields.push_back(
+        {StageNames[I], telemetry::jsonNumber(S.StageMs[I] / 1000.0)});
+  Fields.push_back({"batch", std::to_string(S.BatchSize)});
+  Fields.push_back({"depth", std::to_string(S.DepthAtAdmit)});
+  return Fields;
+}
+
+std::string serve::renderTiming(const RequestSample &S) {
+  std::string Out = "{";
   for (size_t I = 0; I < NumStages; ++I) {
-    Out += ",\"";
+    Out += "\"";
     Out += StageNames[I];
-    Out += "_ms\":";
-    Out += telemetry::jsonNumber(S.StageMs[I]);
+    Out += "_ms\":" + telemetry::jsonNumber(S.StageMs[I]) + ",";
   }
-  Out += ",\"batch_size\":" + std::to_string(S.BatchSize) +
-         ",\"depth_at_admit\":" + std::to_string(S.DepthAtAdmit) +
-         ",\"batch_rids\":[";
-  for (size_t I = 0; I < BatchRids.size(); ++I) {
-    if (I)
-      Out += ",";
-    Out += std::to_string(BatchRids[I]);
-  }
-  Out += "],\"uptime_seconds\":" + telemetry::jsonNumber(UptimeSeconds) + "}";
+  Out += "\"total_ms\":" + telemetry::jsonNumber(S.TotalMs) +
+         ",\"batch_size\":" + std::to_string(S.BatchSize) +
+         ",\"depth_at_admit\":" + std::to_string(S.DepthAtAdmit) + "}";
   return Out;
 }
 
@@ -65,9 +110,9 @@ std::string rerenderScalar(const json::Value &V) {
   }
 }
 
-double numField(const json::Value &Doc, const char *Key, double Default) {
+double numField(const json::Value &Doc, const char *Key) {
   const json::Value *V = Doc.find(Key);
-  return V && V->isNumber() ? V->number() : Default;
+  return V && V->isNumber() ? V->number() : 0;
 }
 
 } // namespace
@@ -76,115 +121,25 @@ std::optional<RequestSample>
 serve::parseRequestSample(const json::Value &Doc) {
   if (!Doc.isObject())
     return std::nullopt;
-
-  auto Common = [&](RequestSample &S) {
-    S.Rid = static_cast<uint64_t>(numField(Doc, "rid", 0));
-    if (const json::Value *Id = Doc.find("id"))
-      S.IdJson = rerenderScalar(*Id);
-    if (const json::Value *Ok = Doc.find("ok"))
-      S.Ok = Ok->isBool() ? Ok->boolean() : true;
-    if (const json::Value *Code = Doc.find("code"))
-      if (Code->isString())
-        S.Code = Code->str();
-    S.BatchSize = static_cast<uint64_t>(numField(Doc, "batch_size", 0));
-    S.DepthAtAdmit =
-        static_cast<uint64_t>(numField(Doc, "depth_at_admit", 0));
-  };
-
-  const json::Value *Schema = Doc.find("schema");
-  if (Schema && Schema->isString() && Schema->str() == "pigeon.slowlog.v1") {
-    RequestSample S;
-    Common(S);
-    S.TotalMs = numField(Doc, "total_ms", 0);
-    for (size_t I = 0; I < NumStages; ++I)
-      S.StageMs[I] =
-          numField(Doc, (std::string(StageNames[I]) + "_ms").c_str(), 0);
-    return S;
-  }
-
   const json::Value *Event = Doc.find("event");
-  if (Event && Event->isString() && Event->str() == "serve.request") {
-    // Event records carry seconds (the stream's native unit); batch
-    // context uses the short field names of pigeon.events.v1.
-    RequestSample S;
-    Common(S);
-    S.TotalMs = numField(Doc, "wall", 0) * 1000.0;
-    for (size_t I = 0; I < NumStages; ++I)
-      S.StageMs[I] = numField(Doc, StageNames[I], 0) * 1000.0;
-    S.BatchSize = static_cast<uint64_t>(numField(Doc, "batch", 0));
-    S.DepthAtAdmit = static_cast<uint64_t>(numField(Doc, "depth", 0));
-    return S;
-  }
+  if (!Event || !Event->isString() || Event->str() != "serve.request")
+    return std::nullopt;
 
-  return std::nullopt;
-}
-
-//===----------------------------------------------------------------------===//
-// SlowLog
-//===----------------------------------------------------------------------===//
-
-SlowLog &SlowLog::global() {
-  static SlowLog Instance;
-  return Instance;
-}
-
-void SlowLog::open(const std::string &OpenPath, size_t Cap) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Path = OpenPath;
-  MaxBytes = Cap;
-  CurBytes = 0;
-  Dirty = false;
-  Entries.clear();
-  Appended.store(0, std::memory_order_relaxed);
-  Evicted.store(0, std::memory_order_relaxed);
-  On.store(true, std::memory_order_release);
-}
-
-void SlowLog::close() {
-  flush();
-  std::lock_guard<std::mutex> Lock(Mutex);
-  On.store(false, std::memory_order_release);
-  Entries.clear();
-  CurBytes = 0;
-  Path.clear();
-}
-
-void SlowLog::append(std::string Line) {
-  if (!enabled())
-    return;
-  std::lock_guard<std::mutex> Lock(Mutex);
-  CurBytes += Line.size() + 1;
-  Entries.push_back(std::move(Line));
-  // Byte-capped ring: evict oldest first, but always keep the newest
-  // entry even when it alone exceeds the cap.
-  while (CurBytes > MaxBytes && Entries.size() > 1) {
-    CurBytes -= Entries.front().size() + 1;
-    Entries.pop_front();
-    Evicted.fetch_add(1, std::memory_order_relaxed);
-  }
-  Appended.fetch_add(1, std::memory_order_relaxed);
-  Dirty = true;
-}
-
-bool SlowLog::flush() {
-  std::string Body, Dest;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (!On.load(std::memory_order_acquire) || !Dirty)
-      return true;
-    for (const std::string &E : Entries) {
-      Body += E;
-      Body += '\n';
-    }
-    Dest = Path;
-    Dirty = false;
-  }
-  return telemetry::writeFileAtomic(Dest, Body);
-}
-
-std::vector<std::string> SlowLog::lines() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return {Entries.begin(), Entries.end()};
+  RequestSample S;
+  S.Rid = static_cast<uint64_t>(numField(Doc, "rid"));
+  if (const json::Value *Id = Doc.find("id"))
+    S.IdJson = rerenderScalar(*Id);
+  if (const json::Value *Ok = Doc.find("ok"))
+    S.Ok = Ok->isBool() ? Ok->boolean() : true;
+  if (const json::Value *Code = Doc.find("code"))
+    if (Code->isString())
+      S.Code = Code->str();
+  S.TotalMs = numField(Doc, "wall") * 1000.0;
+  for (size_t I = 0; I < NumStages; ++I)
+    S.StageMs[I] = numField(Doc, StageNames[I]) * 1000.0;
+  S.BatchSize = static_cast<uint64_t>(numField(Doc, "batch"));
+  S.DepthAtAdmit = static_cast<uint64_t>(numField(Doc, "depth"));
+  return S;
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,7 +7,7 @@
 /// \file
 /// A sampling profiler over *phase names*, not stack frames. The trace
 /// tree (telemetry::TraceScope) already names every interesting region —
-/// parse, extract, train, serve.batch, serve.predict — and the parallel
+/// parse, extract, train, serve.batch, crf.predict — and the parallel
 /// layer propagates the spawning thread's context onto pool workers. So
 /// instead of unwinding native frames (fragile, needs frame pointers and
 /// symbolization), each thread keeps a tiny lock-free stack of interned
@@ -19,7 +19,9 @@
 ///
 /// Who pushes frames:
 ///  * TraceScope (Telemetry.cpp) — every phase in the trace tree;
-///  * parallel::StageTimer (Parallel.cpp) — the serve pipeline stages;
+///  * parallel::StageTimer (Parallel.cpp) — corpus and inference stages;
+///  * serve::BatchTimeline (serve/Timeline.cpp) — the serve timeline
+///    stages under `serve.batch`;
 ///  * parallel workers — the spawner's captured stack is installed for
 ///    the duration of each region (ProfilerStackGuard), so worker time
 ///    lands under the stage that spawned it.
@@ -53,9 +55,9 @@ namespace telemetry {
 
 /// Pushes a frame named \p Name onto the calling thread's phase stack.
 /// Must be balanced by profilerPopFrame() on the same thread (RAII
-/// callers: TraceScope, StageTimer). Beyond the fixed depth limit the
-/// stack records depth only, so unbalanced deep recursion degrades
-/// gracefully instead of overflowing.
+/// callers: TraceScope, StageTimer, serve::BatchTimeline). Beyond the
+/// fixed depth limit the stack records depth only, so unbalanced deep
+/// recursion degrades gracefully instead of overflowing.
 void profilerPushFrame(std::string_view Name);
 void profilerPopFrame();
 

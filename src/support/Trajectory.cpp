@@ -22,6 +22,8 @@ using namespace pigeon::bench;
 namespace {
 
 constexpr std::string_view WallSuffix = ".wall.seconds";
+constexpr std::string_view ServeStagePrefix = "serve.stage.";
+constexpr std::string_view SecondsSuffix = ".seconds";
 
 bool endsWith(std::string_view S, std::string_view Suffix) {
   return S.size() >= Suffix.size() &&
@@ -55,14 +57,22 @@ BenchRecord bench::foldSidecar(const std::string &BenchName,
   if (const json::Value *Hists = Doc.find("histograms");
       Hists && Hists->isObject()) {
     for (const auto &[Name, H] : Hists->object()) {
-      if (!endsWith(Name, WallSuffix) || !H.isObject())
+      bool Wall = endsWith(Name, WallSuffix);
+      bool ServeStage = Name.rfind(ServeStagePrefix, 0) == 0 &&
+                        endsWith(Name, SecondsSuffix);
+      if ((!Wall && !ServeStage) || !H.isObject())
         continue;
-      std::string Stage = Name.substr(0, Name.size() - WallSuffix.size());
-      PhaseStats Stats;
       auto Num = [&H](std::string_view Key) {
         const json::Value *V = H.find(Key);
         return V ? V->numberOr(0.0) : 0.0;
       };
+      // A histogram MetricsRegistry::reset() emptied measured nothing;
+      // folding it would record its zeros as a phase time.
+      if (Num("count") <= 0)
+        continue;
+      std::string Stage = Name.substr(
+          0, Name.size() - (Wall ? WallSuffix : SecondsSuffix).size());
+      PhaseStats Stats;
       Stats.P50 = Num("p50");
       Stats.P90 = Num("p90");
       Stats.P99 = Num("p99");
@@ -70,7 +80,7 @@ BenchRecord bench::foldSidecar(const std::string &BenchName,
       Stats.Count = static_cast<uint64_t>(Num("count"));
       Rec.Phases[Stage] = Stats;
       // Derived throughput: iterations per wall second of the stage.
-      if (Stats.Sum > 0 && Stats.Count > 0)
+      if (Wall && Stats.Sum > 0)
         Rec.Throughput[Stage + ".per_sec"] =
             static_cast<double>(Stats.Count) / Stats.Sum;
     }

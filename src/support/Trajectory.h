@@ -17,7 +17,10 @@
 ///    `.speedup`, plus a derived `<stage>.per_sec` (= count / sum) for
 ///    every `<stage>.wall.seconds` histogram with positive sum;
 ///  * phases — p50/p90/p99/sum/count of every `<stage>.wall.seconds`
-///    histogram;
+///    histogram and of every serve timeline histogram
+///    `serve.stage.<name>.seconds` (as phase `serve.stage.<name>`);
+///    histograms with no observations — emptied by
+///    MetricsRegistry::reset() or never fed — are skipped;
 ///  * accuracy — every gauge whose name contains `accuracy`;
 ///  * latency — every gauge whose name contains `latency_ms`
 ///    (bench_serve's `serve.latency_ms.{p50,p99}{,.single,.concurrent}`
@@ -62,7 +65,7 @@
 namespace pigeon {
 namespace bench {
 
-/// Summary of one `<stage>.wall.seconds` histogram.
+/// Summary of one phase histogram (see the folding rules above).
 struct PhaseStats {
   double P50 = 0;
   double P90 = 0;

@@ -187,7 +187,7 @@ TEST(CrfLearning, TopKContainsGoldNearTop) {
   std::vector<CrfGraph> TrainGraphs;
   std::vector<std::optional<Tree>> Keep;
   for (int I = 0; I < 4; ++I) {
-    for (const std::string &Name : {"done", "finished", "stop"}) {
+    for (const char *Name : {"done", "finished", "stop"}) {
       lang::ParseResult R = js::parse(flagProgram(Name), SI);
       ASSERT_TRUE(R.ok());
       Keep.push_back(std::move(R.Tree));

@@ -226,8 +226,9 @@ TEST(MappedBundle, NewStringsAndPathsExtendFrozenArenas) {
   // index.
   for (uint32_t I = 0; I < Saved; ++I) {
     std::string_view S = Mapped->Interner->str(Symbol::fromIndex(I));
-    if (I > 0 && !S.empty())
+    if (I > 0 && !S.empty()) {
       EXPECT_EQ(Mapped->Interner->lookup(S), Symbol::fromIndex(I));
+    }
   }
   // Parsing fresh source through the mapped bundle works end to end.
   EXPECT_FALSE(signatureOf(*Mapped, MinifiedJs).empty());

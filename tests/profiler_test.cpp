@@ -41,7 +41,7 @@ void spinUntilTicks(const std::string &Phase, uint64_t Target) {
   volatile uint64_t Sink = 0;
   while (std::chrono::steady_clock::now() < Deadline) {
     for (int I = 0; I < 200000; ++I)
-      Sink += static_cast<uint64_t>(I);
+      Sink = Sink + static_cast<uint64_t>(I);
     if (countFor(PhaseProfiler::global().report(), Phase) >= Target)
       return;
   }

@@ -121,8 +121,9 @@ TEST(CrfExplain, TruncationKeepsTotalAndOrdersByMagnitude) {
   for (size_t I = 1; I < Full.Paths.size(); ++I)
     EXPECT_GE(std::abs(Full.Paths[I - 1].Score),
               std::abs(Full.Paths[I].Score));
-  if (!Full.Paths.empty() && !Cut.Paths.empty())
+  if (!Full.Paths.empty() && !Cut.Paths.empty()) {
     EXPECT_EQ(Full.Paths[0].Path, Cut.Paths[0].Path);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -216,8 +217,9 @@ TEST(ProvenanceStream, ReportAndEventStreamCarrySameAttributions) {
       // The stream carries exactly what the report prints.
       EXPECT_EQ(V->find("path")->str(), L.Path);
       EXPECT_EQ(V->find("unary")->boolean(), L.Unary);
-      if (!L.Unary)
+      if (!L.Unary) {
         EXPECT_EQ(V->find("neighbor")->str(), L.Neighbor);
+      }
       EXPECT_NEAR(V->find("score")->number(), L.Score, 1e-9);
       EXPECT_NEAR(V->find("weight")->number(), L.Weight, 1e-9);
       EXPECT_NEAR(V->find("vote")->number(), L.Vote, 1e-9);

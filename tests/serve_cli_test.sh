@@ -4,8 +4,8 @@
 # server process. The server must answer all three (one prediction, two
 # structured errors), keep running across the bad inputs, and exit 0 on
 # EOF. Also smokes the request-tracing surface: rid echo, the "timing"
-# request flag, --trace/--slow-log/--flightrec capture files, the
-# admin:"flightrec" verb, and the trace_report folding tool.
+# request flag, --trace/--flightrec capture files, the admin:"flightrec"
+# verb, and the trace_report folding tool.
 # Run as: serve_cli_test.sh <path-to-pigeon-binary> <path-to-trace_report>.
 set -u
 
@@ -55,8 +55,7 @@ grep -q '"rid":3,"id":3,"ok":false' "$TMP/responses" \
 
 # --- Request-scoped tracing over --stdio -------------------------------
 # A "timing": true request echoes its per-stage decomposition inline;
-# --trace/--slow-log/--flightrec persist the request timeline to disk
-# (threshold 0 captures every request).
+# --trace/--flightrec persist every request's timeline to disk.
 cat > "$TMP/traced_requests" <<'EOF'
 {"id":20,"lang":"js","source":"function h(z) { var twice = z + z; return twice; }","timing":true}
 {"id":21,"lang":"js","source":"function k(w) { var half = w / 2; return half; }"}
@@ -64,15 +63,17 @@ EOF
 
 "$PIGEON" serve --model "$TMP/model.bin" --stdio \
   --trace "$TMP/trace.jsonl" --trace-max-mb 8 \
-  --slow-log "$TMP/slow.jsonl" --slow-trace-ms 0 \
   --flightrec "$TMP/flight.jsonl" \
   < "$TMP/traced_requests" > "$TMP/traced_responses" 2> "$TMP/traced.err" \
   || fail "traced serve exited nonzero: $(cat "$TMP/traced.err")"
 
-grep -q '"id":20,"ok":true.*"timing":{"queue_ms":' "$TMP/traced_responses" \
-  || fail "timing:true request did not echo a stage decomposition"
-grep -q '"total_ms":' "$TMP/traced_responses" \
-  || fail "timing echo carries no total_ms"
+# The echo names the eight timeline stages in order, then the total.
+STAGES='queue seal decode parse extract infer topk render'
+ECHO_KEYS=$(grep '"id":20,' "$TMP/traced_responses" \
+  | sed 's/.*"timing":{//' | grep -o '"[a-z_]*_ms"' | tr -d '"' \
+  | tr '\n' ' ')
+[ "$ECHO_KEYS" = "queue_ms seal_ms decode_ms parse_ms extract_ms infer_ms topk_ms render_ms total_ms " ] \
+  || fail "timing echo keys are not the eight stages in order: $ECHO_KEYS"
 grep -q '"id":21,"ok":true' "$TMP/traced_responses" \
   || fail "second traced request did not answer"
 if grep '"id":21' "$TMP/traced_responses" | grep -q '"timing"'; then
@@ -82,24 +83,23 @@ fi
 [ -s "$TMP/trace.jsonl" ] || fail "--trace wrote no event stream"
 grep -q '"event":"serve.request"' "$TMP/trace.jsonl" \
   || fail "event stream has no serve.request records"
-[ -s "$TMP/slow.jsonl" ] || fail "--slow-log captured nothing at threshold 0"
-grep -q '"schema":"pigeon.slowlog.v1"' "$TMP/slow.jsonl" \
-  || fail "slow log entries lack the pigeon.slowlog.v1 schema"
-grep -q '"batch_rids":\[' "$TMP/slow.jsonl" \
-  || fail "slow log entries lack batch context"
 [ -s "$TMP/flight.jsonl" ] || fail "--flightrec dumped no ring"
 grep -q '"event":"serve.request"' "$TMP/flight.jsonl" \
   || fail "flight recorder dump has no request records"
 
-# trace_report folds the event stream and the slow log into a latency
-# decomposition; mixed inputs are fine.
-"$TRACE_REPORT" "$TMP/trace.jsonl" "$TMP/slow.jsonl" > "$TMP/report.txt" \
+# trace_report folds the event stream into a latency decomposition
+# whose rows are the same eight stages, in order, and lists the slowest
+# requests.
+"$TRACE_REPORT" --top 1 "$TMP/trace.jsonl" > "$TMP/report.txt" \
   2> "$TMP/report.err" \
   || fail "trace_report failed: $(cat "$TMP/report.err")"
-grep -q 'latency decomposition' "$TMP/report.txt" \
-  || fail "trace_report printed no decomposition table"
-grep -q 'predict' "$TMP/report.txt" \
-  || fail "trace_report table lacks the predict stage"
+grep -q 'latency decomposition (2 requests' "$TMP/report.txt" \
+  || fail "trace_report printed no decomposition of both requests"
+REPORT_ROWS=$(sed -n '/latency decomposition/,/^$/p' "$TMP/report.txt" \
+  | awk '{print $1}' | grep -x -E "$(echo "$STAGES" | tr ' ' '|')" \
+  | tr '\n' ' ')
+[ "$REPORT_ROWS" = "$STAGES " ] \
+  || fail "trace_report rows are not the eight stages in order: $REPORT_ROWS"
 grep -q 'slowest requests' "$TMP/report.txt" \
   || fail "trace_report printed no slowest-requests table"
 

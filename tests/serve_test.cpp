@@ -16,7 +16,7 @@
 
 #include "serve/Serve.h"
 
-#include "serve/SlowLog.h"
+#include "serve/Timeline.h"
 
 #include "core/Experiments.h"
 #include "lang/js/JsParser.h"
@@ -765,16 +765,20 @@ TEST(Serve, TimingEchoDecomposesTheMeasuredLatency) {
 
   double Total = T->find("total_ms")->numberOr(-1);
   EXPECT_GT(Total, 0.0);
+  // Exactly the eight stages, in timeline order, then the batch context.
+  const std::vector<std::pair<std::string, json::Value>> &Fields =
+      T->object();
+  ASSERT_EQ(Fields.size(), NumStages + 3);
   double Sum = 0;
-  for (const char *Stage : StageNames) {
-    const json::Value *V = T->find(std::string(Stage) + "_ms");
-    ASSERT_TRUE(V && V->isNumber()) << Stage;
-    EXPECT_GE(V->number(), 0.0) << Stage;
-    Sum += V->number();
+  for (size_t I = 0; I < NumStages; ++I) {
+    EXPECT_EQ(Fields[I].first, std::string(StageNames[I]) + "_ms");
+    ASSERT_TRUE(Fields[I].second.isNumber()) << StageNames[I];
+    EXPECT_GE(Fields[I].second.number(), 0.0) << StageNames[I];
+    Sum += Fields[I].second.number();
   }
-  // The six stages partition the admit→respond interval: their sum is
-  // the total up to rendering rounding (well inside the 5% the
-  // acceptance criterion allows).
+  EXPECT_EQ(Fields[NumStages].first, "total_ms");
+  // The stages partition the admit→respond interval: their sum is the
+  // total up to rendering rounding.
   EXPECT_NEAR(Sum, Total, Total * 0.001);
   EXPECT_GE(T->find("batch_size")->numberOr(0), 1.0);
   EXPECT_GE(T->find("depth_at_admit")->numberOr(-1), 0.0);
@@ -794,58 +798,6 @@ TEST(Serve, TimingAbsentOrFalseLeavesTheResponseUntouched) {
   json::Value Bad = parsed(
       S.handleOne(requestLine(MinifiedFlag, ",\"timing\":1")));
   EXPECT_EQ(errorCode(Bad), "bad_request");
-}
-
-TEST(Serve, SlowLogCapturesRequestsAboveTheThreshold) {
-  SlowLog &Log = SlowLog::global();
-  const std::string Path = ::testing::TempDir() + "serve_slow.jsonl";
-
-  // Threshold far above any real latency: nothing is captured.
-  {
-    Log.open(Path);
-    ServeConfig Config;
-    Config.SlowTraceMs = 60000;
-    Service S(loadBundle(), Config);
-    S.handleOne(requestLine(MinifiedFlag));
-    EXPECT_TRUE(Log.lines().empty());
-  }
-
-  // A synthetic straggler: the request sits in a paused queue for
-  // ~100 ms, far over the 20 ms threshold. The capture's stage timeline
-  // must account for the measured total — the queue stage is where the
-  // time went.
-  {
-    Log.open(Path); // Reopen: clears the previous capture state.
-    ServeConfig Config;
-    Config.SlowTraceMs = 20;
-    Service S(loadBundle(), Config);
-    S.pause();
-    std::promise<std::string> P;
-    std::future<std::string> F = P.get_future();
-    S.submit(requestLine(MinifiedFlag, ",\"id\":\"slow\""),
-             [&P](std::string R) { P.set_value(std::move(R)); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    S.resume();
-    F.get();
-
-    std::vector<std::string> Lines = Log.lines();
-    ASSERT_EQ(Lines.size(), 1u);
-    json::Value Entry = parsed(Lines[0]);
-    EXPECT_EQ(Entry.find("schema")->strOr(""), "pigeon.slowlog.v1");
-    EXPECT_EQ(Entry.find("id")->strOr(""), "slow");
-    EXPECT_TRUE(Entry.find("ok")->boolean());
-    double Total = Entry.find("total_ms")->numberOr(0);
-    EXPECT_GE(Total, 100.0);
-    double Sum = 0;
-    for (const char *Stage : StageNames)
-      Sum += Entry.find(std::string(Stage) + "_ms")->numberOr(0);
-    EXPECT_NEAR(Sum, Total, Total * 0.05);
-    EXPECT_GE(Entry.find("queue_ms")->numberOr(0), 90.0);
-    ASSERT_TRUE(Entry.find("batch_rids")->isArray());
-    EXPECT_EQ(Entry.find("batch_rids")->array().size(), 1u);
-  }
-  Log.close();
-  std::remove(Path.c_str());
 }
 
 TEST(Serve, AdminFlightrecReturnsTheRecentRecords) {

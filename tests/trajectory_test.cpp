@@ -80,6 +80,48 @@ TEST(FoldSidecar, AppliesTheFoldingRules) {
   EXPECT_EQ(Rec.Accuracy.count("crf.features"), 0u);
 }
 
+TEST(FoldSidecar, SkipsHistogramsEmptiedByReset) {
+  // bench_serve resets the registry between arms: a stage timed only
+  // before the reset stays registered with no observations, and must not
+  // fold into a phase that reads zero.
+  telemetry::MetricsRegistry Reg;
+  Reg.histogram("parse.wall.seconds", telemetry::timeBounds()).observe(0.5);
+  Reg.histogram("extract.wall.seconds", telemetry::timeBounds()).observe(0.5);
+  Reg.reset();
+  Reg.histogram("parse.wall.seconds", telemetry::timeBounds()).observe(0.25);
+  std::ostringstream OS;
+  Reg.writeJson(OS);
+  std::optional<json::Value> Doc = json::parse(OS.str());
+  ASSERT_TRUE(Doc);
+
+  BenchRecord Rec = foldSidecar("bench_x", *Doc);
+  ASSERT_EQ(Rec.Phases.count("parse"), 1u);
+  EXPECT_EQ(Rec.Phases["parse"].Count, 1u);
+  EXPECT_EQ(Rec.Phases.count("extract"), 0u);
+  EXPECT_EQ(Rec.Throughput.count("extract.per_sec"), 0u);
+}
+
+TEST(FoldSidecar, FoldsServeStageHistogramsAsPhases) {
+  telemetry::MetricsRegistry Reg;
+  Reg.histogram("serve.stage.infer.seconds", telemetry::timeBounds())
+      .observe(0.002);
+  Reg.histogram("serve.request.seconds", telemetry::timeBounds())
+      .observe(0.003);
+  std::ostringstream OS;
+  Reg.writeJson(OS);
+  std::optional<json::Value> Doc = json::parse(OS.str());
+  ASSERT_TRUE(Doc);
+
+  BenchRecord Rec = foldSidecar("bench_serve", *Doc);
+  ASSERT_EQ(Rec.Phases.count("serve.stage.infer"), 1u);
+  EXPECT_EQ(Rec.Phases["serve.stage.infer"].Count, 1u);
+  EXPECT_NEAR(Rec.Phases["serve.stage.infer"].Sum, 0.002, 1e-12);
+  // Only the timeline's stages: the whole-request series is no phase,
+  // and a stage time is no throughput.
+  EXPECT_EQ(Rec.Phases.count("serve.request"), 0u);
+  EXPECT_TRUE(Rec.Throughput.empty());
+}
+
 TEST(FoldSidecar, TolerantOfForeignDocuments) {
   std::optional<json::Value> Doc =
       json::parse("{\"gauges\":[1,2],\"histograms\":{\"x.wall.seconds\":3}}");

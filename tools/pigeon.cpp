@@ -56,7 +56,6 @@
 #include "lang/js/JsParser.h"
 #include "lang/python/PyParser.h"
 #include "serve/Serve.h"
-#include "serve/SlowLog.h"
 #include "support/EventLog.h"
 #include "support/Parallel.h"
 #include "support/PhaseProfiler.h"
@@ -106,7 +105,6 @@ int usage() {
          "                 [--serve-workers N]\n"
          "                 [--batch N] [--queue N] [--slo-p99-ms MS]\n"
          "                 [--prom FILE] [--metrics-interval SECONDS]\n"
-         "                 [--slow-log FILE] [--slow-trace-ms MS]\n"
          "                 [--flightrec FILE]\n"
          "  pigeon demo    --lang <js|java|py|cs>\n"
          "  pigeon synth   --lang <js|java|py|cs> --out DIR"
@@ -138,13 +136,12 @@ int usage() {
          "and additionally accepts --prom FILE (Prometheus text exposition,\n"
          "rewritten every --metrics-interval seconds, default 10, alongside\n"
          "--metrics/--trace), --slo-p99-ms MS (the admin:\"slo\" target\n"
-         "for the windowed serve.request.seconds p99), --slow-log FILE\n"
-         "(tail sampling: requests slower than --slow-trace-ms — falling\n"
-         "back to the SLO target — are captured with their full stage\n"
-         "timelines as pigeon.slowlog.v1 JSONL; 0 captures everything),\n"
-         "and --flightrec FILE (the in-memory flight recorder of recent\n"
-         "event records, also dumped by admin:\"flightrec\", is written\n"
-         "there at exit and on every metrics tick).\n";
+         "for the windowed serve.request.seconds p99) and --flightrec\n"
+         "FILE (the in-memory flight recorder of recent event records,\n"
+         "also dumped by admin:\"flightrec\", is written there at exit and\n"
+         "on every metrics tick). `trace_report --top K` folds --trace and\n"
+         "--flightrec files into per-stage latency and the K slowest\n"
+         "requests.\n";
   return 2;
 }
 
@@ -766,7 +763,6 @@ int cmdServe(const std::string &ModelPath, const std::string &SocketPath,
   bool WantFlusher = FlushInterval > 0 &&
                      (!DiagMetricsPath.empty() || !DiagPromPath.empty() ||
                       !DiagFlightRecPath.empty() ||
-                      serve::SlowLog::global().enabled() ||
                       telemetry::EventLog::global().enabled());
   if (WantFlusher)
     Flusher = std::thread([&] {
@@ -780,7 +776,6 @@ int cmdServe(const std::string &ModelPath, const std::string &SocketPath,
           telemetry::writeFileAtomic(DiagPromPath,
                                      Reg.prometheusSnapshot());
         telemetry::EventLog::global().flush();
-        serve::SlowLog::global().flush();
         if (!DiagFlightRecPath.empty())
           telemetry::EventLog::global().dumpRing(DiagFlightRecPath);
       }
@@ -963,11 +958,11 @@ int cmdExplain(Language Lang, const std::string &TaskName, int TopK,
 //===----------------------------------------------------------------------===//
 
 /// Best-effort flush of the --metrics snapshot, the --prom exposition,
-/// the --profile folded stacks, the --slow-log capture, the --flightrec
-/// dump and the --trace event stream. Safe to call more than once: every
-/// write is a whole-file atomic rewrite and EventLog::close() /
-/// SlowLog::close() are idempotent. \returns false when a requested
-/// metrics snapshot could not be written.
+/// the --profile folded stacks, the --flightrec dump and the --trace
+/// event stream. Safe to call more than once: every write is a
+/// whole-file atomic rewrite and EventLog::close() is idempotent.
+/// \returns false when a requested metrics snapshot could not be
+/// written.
 bool flushDiagnostics() {
   bool Ok = true;
   auto &Reg = telemetry::MetricsRegistry::global();
@@ -993,10 +988,6 @@ bool flushDiagnostics() {
       std::cerr << "error: cannot write profile to " << DiagProfilePath
                 << "\n";
   }
-  if (serve::SlowLog::global().enabled() &&
-      !serve::SlowLog::global().flush())
-    std::cerr << "error: cannot write the slow-request log\n";
-  serve::SlowLog::global().close();
   // Dump the flight recorder before closing the event stream: a fatal
   // exit is exactly when the last-N-records window matters.
   if (!DiagFlightRecPath.empty() &&
@@ -1018,7 +1009,7 @@ int main(int argc, char **argv) {
   std::optional<Language> Lang;
   std::string ModelPath, OutPath, MetricsPath, TracePath, ContextsPath;
   std::string SocketPath, TcpHostPort, PromPath, ProfilePath;
-  std::string SlowLogPath, FlightRecPath, InPath;
+  std::string FlightRecPath, InPath;
   bool Stdio = false;
   bool Check = false;
   int BundleFormat = 3;
@@ -1132,20 +1123,6 @@ int main(int argc, char **argv) {
         std::cerr << "error: --trace-max-mb wants a positive size\n";
         return 2;
       }
-    } else if (Arg == "--slow-log") {
-      SlowLogPath = Value();
-      if (SlowLogPath.empty()) {
-        std::cerr << "error: --slow-log requires a file path\n";
-        return 2;
-      }
-    } else if (Arg == "--slow-trace-ms") {
-      std::string V = Value();
-      ServeOptions.SlowTraceMs = std::atof(V.c_str());
-      if (V.empty() || ServeOptions.SlowTraceMs < 0) {
-        std::cerr << "error: --slow-trace-ms wants a non-negative "
-                     "threshold (0 captures every request)\n";
-        return 2;
-      }
     } else if (Arg == "--flightrec") {
       FlightRecPath = Value();
       if (FlightRecPath.empty()) {
@@ -1226,8 +1203,6 @@ int main(int argc, char **argv) {
     std::cerr << "error: cannot open trace file " << TracePath << "\n";
     return 2;
   }
-  if (!SlowLogPath.empty())
-    serve::SlowLog::global().open(SlowLogPath);
   if (!ProfilePath.empty())
     telemetry::PhaseProfiler::global().start();
 

@@ -10,11 +10,10 @@
 /// across every request found, plus the top-K slowest requests with
 /// their full stage timelines.
 ///
-/// Accepted inputs, freely mixed (the line schema is auto-detected):
-///  * pigeon.events.v1 streams (`pigeon serve --trace FILE` output and
-///    its rotated `FILE.1` segment, or an `admin:"flightrec"` dump) —
-///    `serve.request` records are folded, everything else is skipped;
-///  * pigeon.slowlog.v1 captures (`--slow-log FILE`).
+/// Inputs are pigeon.events.v1 streams: `pigeon serve --trace FILE`
+/// output and its rotated `FILE.1` segment, or a `--flightrec FILE`
+/// dump. `serve.request` records are folded; everything else is
+/// skipped. The stage columns are serve::StageNames, in timeline order.
 ///
 /// Exit codes: 0 when at least one request sample was found, 1 when the
 /// inputs held none (CI uses this to assert a non-empty decomposition),
@@ -22,7 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "serve/SlowLog.h"
+#include "serve/Timeline.h"
 #include "support/Json.h"
 
 #include <cstdio>
@@ -39,8 +38,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: trace_report [--top K] FILE...\n"
-               "  FILE: a pigeon.events.v1 stream (--trace / flightrec dump)\n"
-               "        and/or a pigeon.slowlog.v1 capture (--slow-log)\n"
+               "  FILE: a pigeon.events.v1 stream (--trace / --flightrec)\n"
                "  --top K  timelines to list for the slowest requests "
                "(default 5)\n");
   return 2;
@@ -105,7 +103,7 @@ int main(int argc, char **argv) {
 
   if (Samples.empty()) {
     std::fprintf(stderr,
-                 "trace_report: no serve.request / slowlog samples found\n");
+                 "trace_report: no serve.request samples found\n");
     return 1;
   }
 
